@@ -9,10 +9,16 @@ by 2p**2 so that degree-one colours (whole labels) can never collide with
 gap colours (mark differences).
 
 The search places marks from the outside in (largest, smallest, second
-largest, ...).  A vertex's colour is pinned as soon as its known neighbour
-extremes can no longer be beaten by the unplaced marks, so dense graphs are
-refuted after only a couple of placements.  The first mark is only tried on
-one representative per automorphism orbit.
+largest, ...), so every placed mark is a "top" mark, above all unplaced
+ones, or a "bottom" mark, below all of them.  The largest neighbour mark of
+a vertex is then its first top neighbour's and the smallest its first bottom
+neighbour's, so its colour is pinned, for good, once it has one of each (or
+once all its neighbours are placed).  Pins are kept per vertex and updated
+only at the neighbours of each placed vertex, so a search node costs
+O(degree), and dense graphs are refuted after a couple of placements.  The
+tree is walked with an explicit stack, so search depth is not bounded by
+the interpreter's recursion limit.  The first mark is only tried on one
+representative per automorphism orbit.
 """
 
 from __future__ import annotations
@@ -44,74 +50,126 @@ def decision_marks(n: int) -> tuple[int, ...]:
 class _Searcher:
     """Depth-first mark assignment with early colour pinning.
 
-    One instance accumulates ``tried`` across branches so that budgets span
-    the whole decision, not a single first-mark placement.
+    Marks go down outside-in, so every placed mark is either a "top" mark,
+    above all unplaced ones, or a "bottom" mark, below all of them; even
+    depths place tops (the middle mark of an odd n included) and odd depths
+    bottoms.  Tops are placed in falling order and bottoms in rising order,
+    so a vertex's first top neighbour holds its largest neighbour mark and
+    its first bottom neighbour its smallest, whatever is placed later.  A
+    vertex's colour is therefore fixed, and pinned, as soon as
+
+    * it has degree >= 2 and both a top and a bottom neighbour: the first
+      top mark minus the first bottom mark;
+    * all its neighbours are placed: with no top neighbour the largest mark
+      is the one just placed, with no bottom neighbour the smallest is, and
+      the colour is largest minus smallest;
+    * it has degree one and its neighbour is placed: that neighbour's mark.
+
+    This is exact: recomputing every colour from the placed labels, and
+    pinning a partial one when its largest placed neighbour mark beats every
+    unplaced mark and its smallest is beaten by every unplaced mark, pins
+    the same vertices at the same colours, because a placed mark beats every
+    unplaced one exactly when it is a top mark.  Placing a vertex touches
+    only its neighbours' state (placed-neighbour count, first top mark,
+    first bottom mark), so a node costs O(deg) to enter and to undo.  Pins
+    never move, so only a vertex pinned at this node can create a clash, and
+    only those are checked against their neighbours.
+
+    The tree is walked with an explicit stack, so depth is not bounded by the
+    interpreter's recursion limit.  Children are tried in vertex order and
+    every node entered counts once in ``tried``.  One instance accumulates
+    ``tried`` across branches so that budgets span the whole decision, not a
+    single first-mark placement.
     """
 
     def __init__(self, g: Graph, marks: tuple[int, ...], budget: int | None = None):
-        self.g = g
         self.n = g.n
         self.adj = g.adjacency
-        self.marks = marks  # ascending
         self.budget = budget
         self.tried = 0
-        # Placement order: indices into marks, outside-in.
+        # Mark placed at each depth, outside-in: largest, smallest, ...
         order = []
         lo, hi = 0, g.n - 1
         while lo <= hi:
-            order.append(hi)
+            order.append(marks[hi])
             if lo < hi:
-                order.append(lo)
+                order.append(marks[lo])
             lo += 1
             hi -= 1
-        self.mark_order = order
+        self.depth_marks = order
 
     def run(self, first_vertex: int) -> Labelling | None:
-        label: list[int | None] = [None] * self.n
-        return self._place(0, first_vertex, label)
+        n, adj, depth_marks = self.n, self.adj, self.depth_marks
+        label = [0] * n  # 0: unplaced; marks are positive
+        placed_nbrs = [0] * n
+        first_top = [0] * n
+        first_bottom = [0] * n
+        colour = [0] * n  # 0: not pinned; colours are positive
+        path: list[int] = []  # vertex placed at each depth
+        pins: list[list[int]] = []  # vertices pinned on entering each depth
+        next_cand: list[int] = []  # next child to try below each depth
 
-    def _place(self, depth: int, vertex: int, label: list[int | None]) -> Labelling | None:
-        self.tried += 1
-        if self.budget is not None and self.tried > self.budget:
-            raise SearchBudgetExceeded(self.tried, self.budget)
-        label[vertex] = self.marks[self.mark_order[depth]]
-        try:
-            if not self._conflict(label, depth + 1):
-                if depth + 1 == self.n:
-                    return tuple(label)
-                for cand in range(self.n):
-                    if label[cand] is None:
-                        found = self._place(depth + 1, cand, label)
-                        if found is not None:
-                            return found
-            return None
-        finally:
-            label[vertex] = None
+        v = first_vertex
+        while True:
+            self.tried += 1
+            if self.budget is not None and self.tried > self.budget:
+                raise SearchBudgetExceeded(self.tried, self.budget)
+            depth = len(path)
+            m = depth_marks[depth]
+            top = depth % 2 == 0
+            label[v] = m
+            pinned = []
+            for u in adj[v]:
+                placed_nbrs[u] += 1
+                if top:
+                    if not first_top[u]:
+                        first_top[u] = m
+                elif not first_bottom[u]:
+                    first_bottom[u] = m
+                if colour[u]:
+                    continue
+                deg = len(adj[u])
+                if deg == 1:
+                    colour[u] = m
+                elif first_top[u] and first_bottom[u]:
+                    colour[u] = first_top[u] - first_bottom[u]
+                elif placed_nbrs[u] == deg:
+                    colour[u] = first_top[u] - m if top else m - first_bottom[u]
+                else:
+                    continue
+                pinned.append(u)
+            path.append(v)
+            pins.append(pinned)
+            clash = any(colour[w] == colour[u] for u in pinned for w in adj[u])
+            if not clash and depth + 1 == n:
+                return tuple(label)
+            next_cand.append(n if clash else 0)
 
-    def _conflict(self, label: list[int | None], placed: int) -> bool:
-        """True when two adjacent vertices already have equal pinned colours."""
-        hi_placed = (placed + 1) // 2
-        lo_placed = placed // 2
-        if lo_placed < self.n - hi_placed:
-            min_rem = self.marks[lo_placed]
-            max_rem = self.marks[self.n - hi_placed - 1]
-        else:
-            min_rem = max_rem = None  # nothing unplaced
-        colour: list[int | None] = [None] * self.n
-        for v in range(self.n):
-            nbrs = self.adj[v]
-            vals = [label[u] for u in nbrs if label[u] is not None]
-            if len(vals) == len(nbrs):
-                colour[v] = vals[0] if len(nbrs) == 1 else max(vals) - min(vals)
-            elif vals and len(nbrs) > 1 and max_rem is not None:
-                hi, lo = max(vals), min(vals)
-                if hi > max_rem and lo < min_rem:
-                    colour[v] = hi - lo
-        for u, v in self.g.edges:
-            cu, cv = colour[u], colour[v]
-            if cu is not None and cu == cv:
-                return True
-        return False
+            # Move to the next untried child, undoing exhausted nodes.
+            while path:
+                c = next_cand[-1]
+                while c < n and label[c]:
+                    c += 1
+                if c < n:
+                    next_cand[-1] = c + 1
+                    v = c
+                    break
+                next_cand.pop()
+                for u in pins.pop():
+                    colour[u] = 0
+                done = path.pop()
+                m = label[done]
+                label[done] = 0
+                top = len(path) % 2 == 0
+                for u in adj[done]:
+                    placed_nbrs[u] -= 1
+                    if top:
+                        if first_top[u] == m:
+                            first_top[u] = 0
+                    elif first_bottom[u] == m:
+                        first_bottom[u] = 0
+            else:
+                return None
 
 
 def _require_searchable(g: Graph) -> None:
@@ -175,38 +233,40 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
         raise ValueError(f"k_max must be positive, got {k_max}")
     n = g.n
     adj = g.adjacency
-    # Colour of v is known once all its neighbours are assigned.
-    known_at = [max(adj[v]) for v in range(n)]
+    # completes[v]: the vertices whose colour becomes known once v, their
+    # highest-numbered neighbour, is labelled.
+    completes: list[list[int]] = [[] for _ in range(n)]
+    for w in range(n):
+        completes[max(adj[w])].append(w)
     tried = 0
 
     def search(k: int) -> bool:
+        # Labels go on vertices 0, 1, ... in order, each trying 1..k; the
+        # explicit stack is label itself (0 = not yet labelled).
         nonlocal tried
         label = [0] * n
         colour: list[int | None] = [None] * n
-
-        def place(v: int) -> bool:
-            nonlocal tried
-            for lab in range(1, k + 1):
-                tried += 1
-                if budget is not None and tried > budget:
-                    raise SearchBudgetExceeded(tried, budget)
-                label[v] = lab
-                newly = [w for w in range(n) if known_at[w] == v]
-                ok = True
-                for w in newly:
-                    vals = [label[u] for u in adj[w]]
-                    colour[w] = vals[0] if len(vals) == 1 else max(vals) - min(vals)
-                for w in newly:
-                    if any(colour[x] == colour[w] for x in adj[w] if colour[x] is not None):
-                        ok = False
-                        break
-                if ok and (v + 1 == n or place(v + 1)):
-                    return True
-                for w in newly:
+        v = 0
+        while v >= 0:
+            if label[v] == k:
+                label[v] = 0
+                for w in completes[v]:
                     colour[w] = None
-            return False
-
-        return place(0)
+                v -= 1
+                continue
+            label[v] += 1
+            tried += 1
+            if budget is not None and tried > budget:
+                raise SearchBudgetExceeded(tried, budget)
+            newly = completes[v]
+            for w in newly:
+                vals = [label[u] for u in adj[w]]
+                colour[w] = vals[0] if len(vals) == 1 else max(vals) - min(vals)
+            if not any(colour[x] == colour[w] for w in newly for x in adj[w]):
+                if v + 1 == n:
+                    return True
+                v += 1
+        return False
 
     for k in range(1, k_max + 1):
         if search(k):

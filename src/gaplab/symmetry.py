@@ -58,22 +58,29 @@ def _extend_map(
                 return False
         return True
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
+    # Explicit stack: next_w[i] is the next image to try for order[i], so the
+    # depth is not bounded by the interpreter's recursion limit.
+    next_w = [0] * len(order)
+    i = 0
+    while i < len(order):
         v = order[i]
-        for w in range(n):
-            if inverse[w] != -1 or hc[w] != gc[v] or not candidate_ok(v, w):
-                continue
-            mapping[v] = w
-            inverse[w] = v
-            if backtrack(i + 1):
-                return True
+        if mapping[v] != -1:  # back from a failed deeper level
+            inverse[mapping[v]] = -1
             mapping[v] = -1
-            inverse[w] = -1
-        return False
-
-    return mapping if backtrack(0) else None
+        w = next_w[i]
+        while w < n and (inverse[w] != -1 or hc[w] != gc[v] or not candidate_ok(v, w)):
+            w += 1
+        if w == n:
+            next_w[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+            continue
+        mapping[v] = w
+        inverse[w] = v
+        next_w[i] = w + 1
+        i += 1
+    return mapping
 
 
 def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:

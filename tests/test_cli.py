@@ -47,6 +47,17 @@ def test_decide_labelable_prints_witness(tmp_path, capsys):
     assert "assignments:" in out
 
 
+def test_decide_deep_search_exits_cleanly(tmp_path, capsys):
+    from gaplab import path_power
+
+    graph_file = tmp_path / "p1200_2.graph"
+    graph_file.write_text(serialize_graph(path_power(1200, 2)))
+    code, out, err = run(capsys, "decide", "--graph", str(graph_file))
+    assert code == 0
+    assert "labelable: yes" in out
+    assert "Traceback" not in err
+
+
 def test_decide_refutation(tmp_path, capsys):
     graph_file = tmp_path / "k4.graph"
     graph_file.write_text(serialize_graph(complete_graph(4)))

@@ -17,6 +17,7 @@ from gaplab import (
     is_gap_labelling,
     naive_decide,
     next_prime,
+    orbit_representatives,
     path_power,
     vertex_gap_number,
 )
@@ -30,6 +31,86 @@ def random_connected(rng, n, p=0.45):
     while True:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = graph_from_edges(n, edges)
+        if is_connected(g):
+            return g
+
+
+class FullRecomputeSearcher:
+    """Reference search: recomputes every colour and scans every edge per node.
+
+    Same tree as the library search (outside-in marks, candidates in vertex
+    order, one count per node entered), but derives each pin directly from
+    the placed labels, so it shares no pinning logic with it.
+    """
+
+    def __init__(self, g, marks):
+        self.g, self.n, self.marks = g, g.n, marks
+        self.tried = 0
+        order, lo, hi = [], 0, g.n - 1
+        while lo <= hi:
+            order.append(hi)
+            if lo < hi:
+                order.append(lo)
+            lo, hi = lo + 1, hi - 1
+        self.mark_order = order
+
+    def run(self, first_vertex):
+        return self._place(0, first_vertex, [None] * self.n)
+
+    def _place(self, depth, vertex, label):
+        self.tried += 1
+        label[vertex] = self.marks[self.mark_order[depth]]
+        try:
+            if not self._conflict(label, depth + 1):
+                if depth + 1 == self.n:
+                    return tuple(label)
+                for cand in range(self.n):
+                    if label[cand] is None:
+                        found = self._place(depth + 1, cand, label)
+                        if found is not None:
+                            return found
+            return None
+        finally:
+            label[vertex] = None
+
+    def _conflict(self, label, placed):
+        hi_placed, lo_placed = (placed + 1) // 2, placed // 2
+        if lo_placed < self.n - hi_placed:
+            min_rem = self.marks[lo_placed]
+            max_rem = self.marks[self.n - hi_placed - 1]
+        else:
+            min_rem = max_rem = None
+        colour = [None] * self.n
+        for v in range(self.n):
+            nbrs = self.g.adjacency[v]
+            vals = [label[u] for u in nbrs if label[u] is not None]
+            if len(vals) == len(nbrs):
+                colour[v] = vals[0] if len(nbrs) == 1 else max(vals) - min(vals)
+            elif vals and len(nbrs) > 1 and max_rem is not None:
+                hi, lo = max(vals), min(vals)
+                if hi > max_rem and lo < min_rem:
+                    colour[v] = hi - lo
+        return any(
+            colour[u] is not None and colour[u] == colour[v] for u, v in self.g.edges
+        )
+
+
+def full_recompute_decide(g):
+    searcher = FullRecomputeSearcher(g, decision_marks(g.n))
+    for rep in orbit_representatives(g):
+        witness = searcher.run(rep)
+        if witness is not None:
+            return witness, searcher.tried
+    return None, searcher.tried
+
+
+def outlier_graph():
+    """G(18, 0.2) from random.Random(2*7919+18), redrawn until connected."""
+    rng = random.Random(2 * 7919 + 18)
+    while True:
+        g = graph_from_edges(
+            18, [(u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.2]
+        )
         if is_connected(g):
             return g
 
@@ -189,3 +270,49 @@ def test_least_label_count_budget():
 def test_least_label_count_rejects_bad_cap():
     with pytest.raises(ValueError):
         vertex_gap_number(complete_graph(3), 0)
+
+
+def test_incremental_search_matches_full_recompute_oracle():
+    rng = random.Random(2024)
+    for _ in range(300):
+        g = random_connected(rng, rng.randint(5, 9), rng.choice((0.2, 0.3, 0.45, 0.7)))
+        witness, tried = full_recompute_decide(g)
+        result = decide(g)
+        assert result.labelable == (witness is not None), sorted(g.edges)
+        assert result.assignments_tried == tried, sorted(g.edges)
+        assert result.witness == witness, sorted(g.edges)
+
+
+def test_search_node_counts_are_pinned():
+    cases = [
+        (path_power(500, 2), True, 500),
+        (path_power(400, 3), True, 1123),
+        (cycle_power(120, 5), True, 460),
+        (cycle_power(24, 7), False, 24),
+        (complete_graph(30), False, 30),
+        (outlier_graph(), True, 27418),
+    ]
+    for g, labelable, nodes in cases:
+        result = decide(g)
+        assert (result.labelable, result.assignments_tried) == (labelable, nodes), g
+        if labelable:
+            assert is_gap_labelling(g, result.witness)[0]
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    g = path_power(1200, 2)
+    result = decide(g)
+    assert result.labelable and is_gap_labelling(g, result.witness)[0]
+    assert vertex_gap_number(path_power(1200, 1), 3) == 2
+
+
+def test_least_label_count_attempts_are_pinned():
+    # the least budget that does not run out is the number of labels tried
+    for g, k_max, attempts, least in (
+        (complete_graph(3), 5, 67, 4),
+        (path_power(6, 1), 3, 28, 2),
+        (complete_graph(4), 6, 2828, None),
+    ):
+        assert vertex_gap_number(g, k_max, budget=attempts) == least
+        with pytest.raises(SearchBudgetExceeded):
+            vertex_gap_number(g, k_max, budget=attempts - 1)

@@ -118,3 +118,8 @@ def test_orbits_match_brute_force_on_random_graphs():
         ]
         g = graph_from_edges(n, edges)
         assert automorphism_orbits(g) == brute_orbits(g), sorted(g.edges)
+
+
+def test_orbit_search_depth_is_not_bounded_by_recursion_limit():
+    orbits = automorphism_orbits(path_power(1200, 2))
+    assert orbits == [(i, 1199 - i) for i in range(600)]
