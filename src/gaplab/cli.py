@@ -55,9 +55,12 @@ def _budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise GapLabError(f"GAPLAB_SEARCH_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise GapLabError(f"GAPLAB_SEARCH_BUDGET must be >= 0, got {budget}")
+    return budget
 
 
 def _family_spec(args) -> FamilySpec:
@@ -85,7 +88,7 @@ def _cmd_label(args) -> int:
         labels = _family_labelling(_family_spec(args))
     else:
         g = parse_graph(_read(args.graph))
-        result = decide(g, budget=_budget(), workers=args.workers)
+        result = decide(g, budget=_budget())
         if not result.labelable:
             raise GapLabError("graph is not gap-vertex-labelable; no labelling to write")
         labels = result.witness
@@ -108,7 +111,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decide(args) -> int:
     g = parse_graph(_read(args.graph))
-    result = decide(g, budget=_budget(), workers=args.workers)
+    result = decide(g, budget=_budget())
     print(f"labelable: {'yes' if result.labelable else 'no'}")
     print(f"assignments: {result.assignments_tried}")
     if result.witness is not None:
@@ -124,7 +127,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_strength_lb(args) -> int:
-    sys.stdout.write(emit_tables(args.nmax, args.format))
+    sys.stdout.write(emit_tables(args.nmax))
     return 0
 
 
@@ -170,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="write a labelling (family rule or search witness)")
     add_family_flags(p, family_required=False)
     p.add_argument("--graph", help="decide this graph and emit the witness")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_label)
 
@@ -181,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="search for any gap labelling")
     p.add_argument("--graph", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("chi", help="least label count up to a cap")
@@ -191,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strength-lb", help="emit the lower-bound tables")
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--format", default="csv")
     p.set_defaults(fn=_cmd_strength_lb)
 
     p = sub.add_parser("strength-ub", help="edge-removal construction for K_n")

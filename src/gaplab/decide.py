@@ -23,11 +23,10 @@ representative per automorphism orbit.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import SearchBudgetExceeded, UnsupportedInputError
-from .graph import Graph, graph_from_edges, is_connected
+from .graph import Graph, is_connected
 from .labelling import Labelling, is_gap_labelling
 from .symmetry import orbit_representatives
 from .transforms import erdos_turan_ruler, next_prime
@@ -179,41 +178,16 @@ def _require_searchable(g: Graph) -> None:
         raise UnsupportedInputError("decision is defined for connected graphs only")
 
 
-def _branch_task(payload) -> tuple[Labelling | None, int]:
-    n, edges, first_vertex = payload
-    g = graph_from_edges(n, edges)
-    searcher = _Searcher(g, decision_marks(n))
-    witness = searcher.run(first_vertex)
-    return witness, searcher.tried
+def decide(g: Graph, *, budget: int | None = None) -> DecisionResult:
+    """Decide gap-vertex-labelability; returns a witness if one exists.
 
-
-def decide(g: Graph, *, budget: int | None = None, workers: int = 1) -> DecisionResult:
-    """Decide gap-vertex-labelability; returns a verified witness if one exists.
-
-    ``workers`` > 1 fans the first-mark placements out to separate processes;
-    results are consumed in placement order so the outcome (and the counter)
-    is identical to a single-threaded run.  A budget forces sequential search
-    so the cap applies to the exact same assignment sequence.
+    The witness is the mark labelling the search completed.  The pinning rule
+    is exact (see ``_Searcher``), so the witness is a gap-vertex-labelling by
+    construction; ``is_gap_labelling`` is the independent check.
     """
     _require_searchable(g)
     reps = orbit_representatives(g)
-    marks = decision_marks(g.n)
-
-    if workers > 1 and budget is None and len(reps) > 1:
-        payload = [(g.n, tuple(sorted(g.edges)), r) for r in reps]
-        tried = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_branch_task, p) for p in payload]
-            for fut in futures:
-                witness, branch_tried = fut.result()
-                tried += branch_tried
-                if witness is not None:
-                    for other in futures:
-                        other.cancel()
-                    return DecisionResult(True, witness, tried)
-        return DecisionResult(False, None, tried)
-
-    searcher = _Searcher(g, marks, budget=budget)
+    searcher = _Searcher(g, decision_marks(g.n), budget=budget)
     for rep in reps:
         witness = searcher.run(rep)
         if witness is not None:

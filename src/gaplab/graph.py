@@ -24,7 +24,7 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph; safe to share between workers."""
+    """A simple undirected graph."""
 
     n: int
     edges: frozenset[Edge]

@@ -313,10 +313,8 @@ def construct_upper(n: int) -> UpperBoundConstruction:
 # table rendering
 
 
-def emit_tables(n_max: int, fmt: str = "csv") -> str:
+def emit_tables(n_max: int) -> str:
     """CSV with columns n, lprime, general, omega for 4 <= n <= n_max."""
-    if fmt != "csv":
-        raise ValueError(f"unsupported table format {fmt!r}")
     tables = dp_tables(n_max)
     lines = ["n,lprime,general,omega"]
     for n in range(4, n_max + 1):

@@ -99,6 +99,16 @@ def test_chi_reports_value_and_cap(tmp_path, capsys):
     assert code == 0 and out.strip() == "none <= 5"
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_bad_budget_env_var_exits_one(tmp_path, capsys, monkeypatch, raw):
+    graph_file = tmp_path / "k6.graph"
+    graph_file.write_text(serialize_graph(complete_graph(6)))
+    monkeypatch.setenv("GAPLAB_SEARCH_BUDGET", raw)
+    code, _, err = run(capsys, "decide", "--graph", str(graph_file))
+    assert code == 1
+    assert "GAPLAB_SEARCH_BUDGET" in err
+
+
 def test_budget_env_var_gives_exit_three(tmp_path, capsys, monkeypatch):
     graph_file = tmp_path / "k6.graph"
     graph_file.write_text(serialize_graph(complete_graph(6)))
@@ -114,23 +124,6 @@ def test_chi_respects_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAPLAB_SEARCH_BUDGET", "5")
     code, _, err = run(capsys, "chi", "--graph", str(graph_file), "--kmax", "5")
     assert code == 3 and "budget" in err
-
-
-def test_decide_with_workers_flag(tmp_path, capsys):
-    from gaplab import path_power
-
-    graph_file = tmp_path / "p62.graph"
-    graph_file.write_text(serialize_graph(path_power(6, 2)))
-    code_seq, out_seq, _ = run(capsys, "decide", "--graph", str(graph_file))
-    code_par, out_par, _ = run(capsys, "decide", "--graph", str(graph_file),
-                               "--workers", "2")
-    assert code_seq == code_par == 0
-    assert out_seq == out_par
-
-
-def test_strength_lb_rejects_unknown_format(capsys):
-    code, _, err = run(capsys, "strength-lb", "--nmax", "6", "--format", "tsv")
-    assert code == 1 and "format" in err
 
 
 def test_strength_lb_emits_csv(capsys):
@@ -164,9 +157,15 @@ def test_strength_exact_out_of_range(capsys):
     assert code == 1 and "error:" in err
 
 
-def test_usage_error_exits_two(capsys):
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "complete"],
+    ["decide", "--graph", "F", "--workers", "2"],
+    ["label", "--graph", "F", "--workers", "2"],
+    ["strength-lb", "--nmax", "6", "--format", "csv"],
+], ids=["gen-missing-n", "decide-workers", "label-workers", "strength-lb-format"])
+def test_usage_error_exits_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["gen", "--family", "complete"])
+        main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -205,20 +205,6 @@ def test_budget_is_enforced_and_reported():
     assert exc.value.tried == 4
 
 
-def test_workers_agree_with_sequential():
-    from gaplab import orbit_representatives, remove_edges
-
-    lopsided_tree = graph_from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    nearly_complete = remove_edges(complete_graph(6), [(0, 1)])
-    for g in (path_power(6, 2), lopsided_tree, nearly_complete):
-        assert len(orbit_representatives(g)) > 1  # the pool path really runs
-        seq = decide(g, workers=1)
-        par = decide(g, workers=2)
-        assert seq.labelable == par.labelable
-        assert seq.assignments_tried == par.assignments_tried
-        assert seq.witness == par.witness
-
-
 def test_rejects_disconnected_and_trivial_inputs():
     with pytest.raises(UnsupportedInputError):
         decide(graph_from_edges(4, [(0, 1), (2, 3)]))

@@ -225,8 +225,6 @@ def test_emit_tables_format():
     assert lines[0] == "n,lprime,general,omega"
     assert lines[1] == "4,1,1,0.1583"
     assert len(lines) == 1 + (6 - 3)
-    with pytest.raises(ValueError):
-        emit_tables(6, fmt="tsv")
 
 
 def test_emit_tables_row_count_and_values():
