@@ -19,7 +19,7 @@ only in the rendered table column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from itertools import combinations
 from math import isqrt
 
@@ -129,13 +129,17 @@ class DpTables:
 
 
 def power_law_column(n_max: int) -> tuple[Decimal, ...]:
-    """(3/100) * n**1.2 for n = 0..n_max, quantised to 4 decimal places."""
-    getcontext().prec = 60
-    fifth = Decimal(1) / Decimal(5)
-    out = []
-    for n in range(n_max + 1):
-        value = Decimal(3) * (Decimal(n) ** 6) ** fifth / Decimal(100)
-        out.append(value.quantize(Decimal("0.0001")))
+    """(3/100) * n**1.2 for n = 0..n_max, quantised to 4 decimal places.
+
+    Computed at 60 digits in a local context; the caller's context is left as is.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        fifth = Decimal(1) / Decimal(5)
+        out = []
+        for n in range(n_max + 1):
+            value = Decimal(3) * (Decimal(n) ** 6) ** fifth / Decimal(100)
+            out.append(value.quantize(Decimal("0.0001")))
     return tuple(out)
 
 

@@ -1,10 +1,28 @@
-"""Cheap symmetry machinery for search pruning and duplicate filtering.
+"""Symmetry machinery for search pruning and duplicate filtering.
 
-Nothing here is a full canonical-form computation.  Degree refinement
-(iterated neighbour-degree colouring) partitions vertices into classes that
-every automorphism respects; explicit backtracking over those classes then
-recovers true automorphism orbits and isomorphisms for the small graphs the
-searches handle.
+One primitive serves orbits, isomorphism and the stable colouring: equitable
+refinement of an ordered partition, plus an individualise-and-refine search
+for structure-preserving maps (McKay & Piperno, "Practical graph isomorphism
+II", J. Symb. Comput. 60, 2014).
+
+* **Refinement.**  A partition is a vertex order cut into cells, each cell
+  named by its start index in that order.  It is seeded with degree buckets
+  and refined with a splitter queue: the cell popped splits every cell it
+  touches by neighbour count into it.  Fragments go in ascending count
+  order; all of them are queued if the split cell was queued, otherwise all
+  but the largest (Hopcroft's rule, as in nauty's ``refine``).  The result
+  is the coarsest equitable partition refining the seed, and the refinement
+  returns a trace of its splits (start, counts, sizes) that does not depend
+  on how the vertices are numbered.
+* **Search.**  To find a map g -> h (an isomorphism, or an automorphism with
+  r -> v), both partitions are refined in lock step: one vertex of a cell is
+  individualised on the g side, and each vertex of the same cell in turn on
+  the h side.  A branch whose two traces differ is pruned.  At every node
+  the position-wise map (cell-order position i on one side to position i on
+  the other) is tried as a candidate leaf before descending, and each
+  candidate is checked edge by edge.  The walk is an explicit stack.
+
+Nothing here computes a canonical form yet.
 """
 
 from __future__ import annotations
@@ -13,79 +31,191 @@ from itertools import combinations
 
 from .graph import Graph
 
-
-def degree_refinement(g: Graph) -> tuple[int, ...]:
-    """Stable colouring refined from degrees; automorphisms preserve it."""
-    colour = [g.degree(v) for v in range(g.n)]
-    while True:
-        sigs = [
-            (colour[v], tuple(sorted(colour[u] for u in g.adjacency[v])))
-            for v in range(g.n)
-        ]
-        sig_to_id = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [sig_to_id[s] for s in sigs]
-        if len(set(new)) == len(set(colour)):
-            return tuple(new)
-        colour = new
+# A partition is (order, cell, size): ``order`` lists the vertices cell by
+# cell, ``cell[v]`` is the start index of v's cell and ``size[start]`` that
+# cell's length (meaningful at cell starts only).
+Partition = tuple[list[int], list[int], list[int]]
 
 
-def _extend_map(
-    g: Graph, h: Graph, gc: tuple[int, ...], hc: tuple[int, ...], seed: dict[int, int]
-) -> list[int] | None:
-    """Backtracking search for an edge-preserving bijection g -> h.
+def _refine(
+    adjacency: tuple[tuple[int, ...], ...], part: Partition, queue: list[int]
+) -> list[int]:
+    """Split cells until ``part`` is equitable; returns the trace of splits.
 
-    Candidate images must carry the same refinement colour; ``seed`` pins
-    chosen vertices in advance.  Returns the full mapping or None.
+    ``queue`` holds the starts of the splitter cells; the partition must
+    already be equitable with respect to every cell not derivable from them.
+    """
+    order, cell, size = part
+    n = len(order)
+    count = [0] * n
+    hits = [0] * n
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    trace: list[int] = []
+    head = 0
+    while head < len(queue):
+        s = queue[head]
+        head += 1
+        queued[s] = False
+        touched = []
+        for w in order[s : s + size[s]]:
+            for u in adjacency[w]:
+                if not count[u]:
+                    touched.append(u)
+                count[u] += 1
+        starts = []
+        for u in touched:
+            c = cell[u]
+            if not hits[c]:
+                starts.append(c)
+            hits[c] += 1
+        starts.sort()
+        for c in starts:
+            sz = size[c]
+            k = hits[c]
+            hits[c] = 0
+            if sz == 1:
+                continue
+            members = order[c : c + sz]
+            if k == sz:
+                first = count[members[0]]
+                if all(count[u] == first for u in members):
+                    continue
+            members.sort(key=count.__getitem__)
+            order[c : c + sz] = members
+            # cut the sorted cell into fragments of equal count
+            trace.append(c)
+            frags = []  # (offset in the cell, length)
+            begin = 0
+            for i in range(1, sz + 1):
+                if i == sz or count[members[i]] != count[members[begin]]:
+                    frags.append((begin, i - begin))
+                    trace += (count[members[begin]], i - begin)
+                    begin = i
+            for begin, length in frags:
+                size[c + begin] = length
+                if begin:
+                    for u in members[begin : begin + length]:
+                        cell[u] = c + begin
+            if queued[c]:
+                skip = 0
+            else:
+                skip = max(frags, key=lambda f: f[1])[0]
+            for begin, _ in frags:
+                if begin != skip:
+                    queued[c + begin] = True
+                    queue.append(c + begin)
+        for u in touched:
+            count[u] = 0
+    return trace
+
+
+def _equitable(g: Graph) -> tuple[Partition, list[int]]:
+    """The coarsest equitable partition refining the degree buckets, and its trace.
+
+    The first splitter is the whole vertex set, so the first split cuts the
+    single cell into degree buckets.
     """
     n = g.n
-    mapping = [-1] * n
-    inverse = [-1] * n
-    for v, w in seed.items():
-        if gc[v] != hc[w]:
-            return None
-        mapping[v] = w
-        inverse[w] = v
-    order = [v for v in range(n) if mapping[v] == -1]
+    part = (list(range(n)), [0] * n, [n] + [0] * (n - 1))
+    return part, _refine(g.adjacency, part, [0])
 
-    def candidate_ok(v: int, w: int) -> bool:
-        for u in g.adjacency[v]:
-            mu = mapping[u]
-            if mu != -1 and not h.has_edge(w, mu):
-                return False
-        for x in h.adjacency[w]:
-            pre = inverse[x]
-            if pre != -1 and not g.has_edge(v, pre):
-                return False
-        return True
 
-    # Explicit stack: next_w[i] is the next image to try for order[i], so the
-    # depth is not bounded by the interpreter's recursion limit.
-    next_w = [0] * len(order)
+def _individualise(
+    adjacency: tuple[tuple[int, ...], ...], part: Partition, v: int
+) -> tuple[Partition, list[int]]:
+    """A copy of ``part`` with v split off at the front of its cell, refined."""
+    order, cell, size = part[0][:], part[1][:], part[2][:]
+    c = cell[v]
+    sz = size[c]
+    i = order.index(v, c, c + sz)
+    order[i] = order[c]
+    order[c] = v
+    size[c] = 1
+    size[c + 1] = sz - 1
+    for u in order[c + 1 : c + sz]:
+        cell[u] = c + 1
+    child = (order, cell, size)
+    return child, _refine(adjacency, child, [c])
+
+
+def _target_cell(size: list[int]) -> int:
+    """Start of the first smallest non-singleton cell, or -1 if discrete."""
+    best, best_size = -1, len(size) + 1
     i = 0
-    while i < len(order):
-        v = order[i]
-        if mapping[v] != -1:  # back from a failed deeper level
-            inverse[mapping[v]] = -1
-            mapping[v] = -1
-        w = next_w[i]
-        while w < n and (inverse[w] != -1 or hc[w] != gc[v] or not candidate_ok(v, w)):
-            w += 1
-        if w == n:
-            next_w[i] = 0
-            i -= 1
-            if i < 0:
-                return None
-            continue
-        mapping[v] = w
-        inverse[w] = v
-        next_w[i] = w + 1
-        i += 1
-    return mapping
+    while i < len(size):
+        s = size[i]
+        if 1 < s < best_size:
+            best, best_size = i, s
+            if s == 2:
+                break
+        i += s
+    return best
+
+
+def _find_map(
+    g: Graph, h: Graph, h_sets: list[set[int]], pg: Partition, ph: Partition
+) -> list[int] | None:
+    """Individualise-and-refine search for an edge-preserving bijection g -> h.
+
+    ``pg`` and ``ph`` are equitable partitions reached by equal traces; the
+    map found sends each cell of ``pg`` onto the cell of ``ph`` at the same
+    start.  Returns the map as a list, or None if none exists.
+    """
+    g_adj, h_adj = g.adjacency, h.adjacency
+    # Explicit stack of branch points: [h partition, g child, its trace,
+    # h candidates, index of the next candidate].
+    stack: list[list] = []
+    node: tuple[Partition, Partition] | None = (pg, ph)
+    while node is not None:
+        pg, ph = node
+        mapping = [0] * g.n
+        for a, b in zip(pg[0], ph[0]):
+            mapping[a] = b
+        image = mapping.__getitem__
+        if all(h_sets[mapping[u]].issuperset(map(image, nbrs)) for u, nbrs in enumerate(g_adj)):
+            return mapping
+        c = _target_cell(pg[2])
+        if c >= 0:
+            child, trace = _individualise(g_adj, pg, pg[0][c])
+            stack.append([ph, child, trace, ph[0][c : c + pg[2][c]], 0])
+        node = None
+        while stack and node is None:
+            frame = stack[-1]
+            ph, child, trace, candidates, i = frame
+            if i == len(candidates):
+                stack.pop()
+                continue
+            frame[4] = i + 1
+            h_child, h_trace = _individualise(h_adj, ph, candidates[i])
+            if h_trace == trace:
+                node = (child, h_child)
+    return None
+
+
+def degree_refinement(g: Graph) -> tuple[int, ...]:
+    """Stable colouring refined from degrees; automorphisms preserve it.
+
+    Colours are cell indices of the coarsest equitable partition refining
+    the degree buckets, numbered in an order that does not depend on the
+    vertex numbering.
+    """
+    (order, cell, _), _ = _equitable(g)
+    colour = [0] * g.n
+    index = -1
+    for i, v in enumerate(order):
+        if cell[v] == i:
+            index += 1
+        colour[v] = index
+    return tuple(colour)
 
 
 def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
     """True orbits of the automorphism group, as sorted vertex tuples."""
-    colours = degree_refinement(g)
+    base, _ = _equitable(g)
+    order, cell, size = base
+    g_sets = [set(a) for a in g.adjacency]
     parent = list(range(g.n))
 
     def find(a: int) -> int:
@@ -94,34 +224,34 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colours[v], []).append(v)
-    for members in classes.values():
+    for c in range(g.n):
+        if cell[order[c]] != c or size[c] == 1:
+            continue
+        members = sorted(order[c : c + size[c]])
         reps = [members[0]]
+        pinned: dict[int, tuple[Partition, list[int]]] = {}  # individualised, on demand
         for v in members[1:]:
-            placed = False
+            if any(find(v) == find(r) for r in reps):
+                continue
+            pv, tv = _individualise(g.adjacency, base, v)
             for r in reps:
-                if find(v) == find(r):
-                    placed = True
-                    break
-                auto = _extend_map(g, g, colours, colours, {r: v})
+                if r not in pinned:
+                    pinned[r] = _individualise(g.adjacency, base, r)
+                pr, tr = pinned[r]
+                auto = _find_map(g, g, g_sets, pr, pv) if tv == tr else None
                 if auto is not None:
                     for u, image in enumerate(auto):
-                        union(u, image)
-                    placed = True
+                        ru, ri = find(u), find(image)
+                        if ru != ri:
+                            parent[ri] = ru
                     break
-            if not placed:
+            else:
                 reps.append(v)
+                pinned[v] = (pv, tv)
     orbits: dict[int, list[int]] = {}
     for v in range(g.n):
         orbits.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(vs)) for vs in orbits.values())
+    return sorted(tuple(vs) for vs in orbits.values())
 
 
 def orbit_representatives(g: Graph) -> tuple[int, ...]:
@@ -146,12 +276,11 @@ def cheap_invariant(g: Graph) -> tuple:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test; intended for the small graphs search produces."""
+    """Exact isomorphism test by individualise-and-refine search."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    if cheap_invariant(g) != cheap_invariant(h):
+    pg, tg = _equitable(g)
+    ph, th = _equitable(h)
+    if tg != th:
         return False
-    gc, hc = degree_refinement(g), degree_refinement(h)
-    if sorted(gc) != sorted(hc):
-        return False
-    return _extend_map(g, h, gc, hc, {}) is not None
+    return _find_map(g, h, [set(a) for a in h.adjacency], pg, ph) is not None

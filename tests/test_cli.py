@@ -152,6 +152,12 @@ def test_strength_exact_value(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+@pytest.mark.parametrize("n, strength", [("5", "2"), ("6", "3")])
+def test_strength_exact_larger_orders(capsys, n, strength):
+    code, out, _ = run(capsys, "strength-exact", "--n", n)
+    assert code == 0 and out.strip() == strength
+
+
 def test_strength_exact_out_of_range(capsys):
     code, _, err = run(capsys, "strength-exact", "--n", "9")
     assert code == 1 and "error:" in err

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 
 import pytest
@@ -244,6 +244,23 @@ def test_omega_column_has_four_decimals():
     tables = dp_tables(10)
     assert str(tables.omega[4]) == "0.1583"
     assert all(str(x).split(".")[1].__len__() == 4 for x in tables.omega[4:])
+
+
+def test_power_law_column_leaves_caller_precision_alone():
+    from gaplab.strength import power_law_column
+
+    with localcontext() as ctx:
+        ctx.prec = 17
+        column = power_law_column(50)
+        assert getcontext().prec == 17
+    with localcontext() as ctx:
+        ctx.prec = 60
+        fifth = Decimal(1) / Decimal(5)
+        expected = tuple(
+            (Decimal(3) * (Decimal(n) ** 6) ** fifth / Decimal(100)).quantize(Decimal("0.0001"))
+            for n in range(51)
+        )
+    assert column == expected
 
 
 def test_removed_edge_ledger_is_loadable():

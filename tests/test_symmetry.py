@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 from gaplab import (
     are_isomorphic,
@@ -123,3 +124,276 @@ def test_orbits_match_brute_force_on_random_graphs():
 def test_orbit_search_depth_is_not_bounded_by_recursion_limit():
     orbits = automorphism_orbits(path_power(1200, 2))
     assert orbits == [(i, 1199 - i) for i in range(600)]
+
+
+# --- inputs where refinement alone does nothing ------------------------------
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return permuted_copy(g, perm)
+
+
+def rook_graph_4x4():
+    # K_4 x K_4: (i, j) ~ (k, l) when they share a row or a column
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return graph_from_edges(16, [
+        (a, b) for a, b in combinations(range(16), 2)
+        if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+    ])
+
+
+def shrikhande_graph():
+    # Cayley graph of Z_4 x Z_4 with connection set {+-(0,1), +-(1,0), +-(1,1)}
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return graph_from_edges(16, [
+        (a, b) for a, b in combinations(range(16), 2)
+        if ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in steps
+    ])
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, outer + spokes + inner)
+
+
+def test_strongly_regular_pair_with_equal_parameters():
+    rook, shrikhande = rook_graph_4x4(), shrikhande_graph()
+    for g in (rook, shrikhande):
+        # strongly regular (16, 6, 2, 2): 6-regular, any two vertices share 2 neighbours
+        assert {g.degree(v) for v in range(16)} == {6}
+        assert all(
+            len(set(g.adjacency[a]) & set(g.adjacency[b])) == 2
+            for a, b in combinations(range(16), 2)
+        )
+        assert len(set(degree_refinement(g))) == 1
+        assert automorphism_orbits(g) == [tuple(range(16))]
+        for seed in range(3):
+            assert are_isomorphic(g, relabelled(g, seed))
+    assert not are_isomorphic(rook, shrikhande)
+    assert not are_isomorphic(relabelled(rook, 5), relabelled(shrikhande, 6))
+
+
+def disjoint_union(g, h):
+    return graph_from_edges(g.n + h.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges])
+
+
+def test_search_backtracks_across_equal_traces():
+    # Individualising a vertex refines both components the same way, so a
+    # wrong first choice survives the trace check and must be backtracked.
+    rook, shrikhande = rook_graph_4x4(), shrikhande_graph()
+    g = disjoint_union(rook, shrikhande)
+    assert len(set(degree_refinement(g))) == 1
+    assert automorphism_orbits(g) == [tuple(range(16)), tuple(range(16, 32))]
+    for seed in range(6):
+        assert are_isomorphic(g, relabelled(g, seed))
+        assert are_isomorphic(relabelled(g, seed), g)
+
+
+def test_petersen_graph_is_vertex_transitive():
+    g = petersen_graph()
+    assert automorphism_orbits(g) == [tuple(range(10))]
+    assert are_isomorphic(g, relabelled(g, 11))
+    # the pentagonal prism is 3-regular and triangle-free too, but has 4-cycles
+    prism = graph_from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    )
+    assert not are_isomorphic(g, prism)
+
+
+def test_eight_cycle_is_not_two_four_cycles():
+    two_squares = graph_from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    assert not are_isomorphic(cycle_power(8, 1), two_squares)
+    assert not are_isomorphic(two_squares, cycle_power(8, 1))
+
+
+def test_stable_colouring_does_not_depend_on_vertex_numbering():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(4, 12)
+        g = graph_from_edges(n, [
+            (u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.4
+        ])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = permuted_copy(g, perm)
+        assert all(degree_refinement(h)[perm[v]] == degree_refinement(g)[v] for v in range(n))
+
+
+# --- oracles -----------------------------------------------------------------
+
+
+def test_orbits_match_brute_force_on_every_graph_up_to_five_vertices():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            assert automorphism_orbits(g) == brute_orbits(g), sorted(g.edges)
+
+
+def old_degree_refinement(g):
+    colour = [g.degree(v) for v in range(g.n)]
+    while True:
+        sigs = [
+            (colour[v], tuple(sorted(colour[u] for u in g.adjacency[v])))
+            for v in range(g.n)
+        ]
+        sig_to_id = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [sig_to_id[s] for s in sigs]
+        if len(set(new)) == len(set(colour)):
+            return tuple(new)
+        colour = new
+
+
+def old_extend_map(g, h, gc, hc, seed):
+    """Backtracking over same-colour images with no refinement after a choice."""
+    n = g.n
+    mapping = [-1] * n
+    inverse = [-1] * n
+    for v, w in seed.items():
+        if gc[v] != hc[w]:
+            return None
+        mapping[v] = w
+        inverse[w] = v
+    order = [v for v in range(n) if mapping[v] == -1]
+
+    def candidate_ok(v, w):
+        for u in g.adjacency[v]:
+            mu = mapping[u]
+            if mu != -1 and not h.has_edge(w, mu):
+                return False
+        for x in h.adjacency[w]:
+            pre = inverse[x]
+            if pre != -1 and not g.has_edge(v, pre):
+                return False
+        return True
+
+    next_w = [0] * len(order)
+    i = 0
+    while i < len(order):
+        v = order[i]
+        if mapping[v] != -1:
+            inverse[mapping[v]] = -1
+            mapping[v] = -1
+        w = next_w[i]
+        while w < n and (inverse[w] != -1 or hc[w] != gc[v] or not candidate_ok(v, w)):
+            w += 1
+        if w == n:
+            next_w[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+            continue
+        mapping[v] = w
+        inverse[w] = v
+        next_w[i] = w + 1
+        i += 1
+    return mapping
+
+
+def old_automorphism_orbits(g):
+    """The orbit computation this module used before the refinement search."""
+    colours = old_degree_refinement(g)
+    parent = list(range(g.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    classes = {}
+    for v in range(g.n):
+        classes.setdefault(colours[v], []).append(v)
+    for members in classes.values():
+        reps = [members[0]]
+        for v in members[1:]:
+            placed = False
+            for r in reps:
+                if find(v) == find(r):
+                    placed = True
+                    break
+                auto = old_extend_map(g, g, colours, colours, {r: v})
+                if auto is not None:
+                    for u, image in enumerate(auto):
+                        ra, rb = find(u), find(image)
+                        if ra != rb:
+                            parent[rb] = ra
+                    placed = True
+                    break
+            if not placed:
+                reps.append(v)
+    orbits = {}
+    for v in range(g.n):
+        orbits.setdefault(find(v), []).append(v)
+    return sorted(tuple(sorted(vs)) for vs in orbits.values())
+
+
+def colour_classes(colours):
+    classes = {}
+    for v, c in enumerate(colours):
+        classes.setdefault(c, []).append(v)
+    return sorted(classes.values())
+
+
+def test_refinement_and_orbits_match_previous_code_oracle():
+    rng = random.Random(2025)
+    nontrivial = 0
+    for _ in range(300):
+        n = rng.randint(7, 12)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        g = graph_from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        # both are the coarsest equitable partition refining the degrees
+        assert colour_classes(degree_refinement(g)) == colour_classes(old_degree_refinement(g))
+        orbits = automorphism_orbits(g)
+        assert orbits == old_automorphism_orbits(g), sorted(g.edges)
+        nontrivial += len(orbits) < n
+    assert nontrivial >= 30  # the sample exercises the search, not only discrete refinements
+
+
+def brute_isomorphic(g, h):
+    return any(
+        all(h.has_edge(perm[u], perm[v]) for u, v in g.edges)
+        for perm in permutations(range(g.n))
+    )
+
+
+def test_isomorphism_matches_brute_force_on_equal_degree_sequences():
+    # h is g after random degree-preserving double-edge swaps
+    rng = random.Random(4242)
+    verdicts = []
+    for _ in range(150):
+        n = rng.randint(4, 6)
+        edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5}
+        g = graph_from_edges(n, edges)
+        for _ in range(3):
+            if len(edges) < 2:
+                break
+            (a, b), (c, d) = rng.sample(sorted(edges), 2)
+            if rng.random() < 0.5:
+                c, d = d, c
+            new = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+            if a != d and c != b and new[0] != new[1] and not edges & set(new):
+                edges = (edges - {(a, b), (min(c, d), max(c, d))}) | set(new)
+        h = relabelled(graph_from_edges(n, edges), rng.random())
+        assert sorted(map(g.degree, range(n))) == sorted(map(h.degree, range(n)))
+        verdict = are_isomorphic(g, h)
+        assert verdict == brute_isomorphic(g, h), (sorted(g.edges), sorted(h.edges))
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+# --- the benchmark's family graphs -------------------------------------------
+
+
+def test_orbits_of_vertex_transitive_family_graphs():
+    for g in (cycle_power(120, 5), cycle_power(20, 6), cycle_power(24, 7), complete_graph(30)):
+        assert automorphism_orbits(g) == [tuple(range(g.n))], g
+
+
+def test_orbits_of_path_power_are_mirror_pairs():
+    assert automorphism_orbits(path_power(400, 3)) == [(i, 399 - i) for i in range(200)]
