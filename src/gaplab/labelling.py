@@ -74,13 +74,11 @@ def induced_colouring(g: Graph, labels) -> Colouring:
 def is_gap_labelling(g: Graph, labels) -> tuple[bool, ConflictReport]:
     """True plus an empty report iff the induced colouring is proper.
 
-    The report lists every conflicting edge, not just the first, so test
-    failures show the whole picture.
+    The report lists every conflicting edge in lexicographic order, not just
+    the first, so test failures show the whole picture.
     """
     colours = induced_colouring(g, labels)
-    conflicts = tuple(
-        (u, v) for u, v in sorted(g.edges) if colours[u] == colours[v]
-    )
+    conflicts = tuple(sorted((u, v) for u, v in g.edges if colours[u] == colours[v]))
     return not conflicts, ConflictReport(conflicts)
 
 

@@ -7,19 +7,22 @@ a gap labelling?  Three attacks on that number live here:
   isomorphism before deciding each candidate;
 * lower bounds by dynamic programming over decompositions: classify every
   vertex by adjacency to the extremal-labelled pair, charge the removals
-  each class forces, and recurse;
+  each class forces, and recurse.  Every recurrence has a convex kernel, so
+  both tables take O(n log n) time;
 * an upper bound by explicit construction: repeatedly split off a small
   independent set and a detached "low" vertex, removing at most 3*n*sqrt(n)
   edges in total, and label the result with powers of two.
 
-All bound comparisons are exact integer arithmetic; floating point appears
-only in the rendered table column.
+All arithmetic is on integers, with no floating point anywhere: the bound
+checks compare integer powers, and the rendered power-law column is rounded
+with an integer fifth root and only then written as a Decimal.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from itertools import combinations
 from math import isqrt
 
@@ -77,22 +80,101 @@ def decompose(g: Graph, v_max: int, v_min: int, removed: tuple[Edge, ...] = ()) 
 # lower bounds
 
 
+def _convex_table(n_max: int, first: int, gap: int, lead, kernel) -> list[int]:
+    """T[0..n_max] with T[j] = 0 for j <= 3 and, for j >= 4,
+
+        T[j] = min over first <= i <= j - gap of lead(i, T[i]) + kernel[j - gap - i].
+
+    ``kernel`` must be convex.  Then for candidates b < c the excess of c's
+    term over b's changes, as j grows by one, by
+    (kernel[k_c + 1] - kernel[k_c]) - (kernel[k_b + 1] - kernel[k_b]) <= 0,
+    where k_c = j - gap - c < k_b = j - gap - b; so once a later candidate
+    ties an earlier one it wins for every larger j.  The candidates that can
+    still win sit in a deque, each owning an interval of j, and a new one
+    takes over from the point binary search finds (the convex 1D/1D method of
+    Galil & Park, "Dynamic programming with convexity, concavity and
+    sparsity", TCS 92, 1992).  Exact for any ``lead``, in O(n_max log n_max).
+    """
+    table = [0] * (n_max + 1)
+    live: deque[tuple[int, int, int]] = deque()  # (i, lead value, first j it owns)
+    nxt = first
+    for j in range(4, n_max + 1):
+        while nxt <= j - gap:
+            c, dc = nxt, lead(nxt, table[nxt])
+            nxt += 1
+            start = j
+            while live:
+                b, db, owned_from = live[-1]
+                lo, hi = j, n_max + 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if dc + kernel[mid - gap - c] <= db + kernel[mid - gap - b]:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                if lo > owned_from:
+                    start = lo
+                    break
+                live.pop()
+            if start <= n_max:
+                live.append((c, dc, start))
+        while len(live) > 1 and live[1][2] <= j:
+            live.popleft()
+        i, di, _ = live[0]
+        table[j] = di + kernel[j - gap - i]
+    return table
+
+
 def restricted_lb(n_max: int) -> tuple[int, ...]:
     """Table l'[0..n_max] of forced removals in restricted decompositions.
 
     l'(n) = 0 for n <= 3; otherwise the cheapest split of the n-2 non-extreme
     vertices into a tail of x (one removed edge each, then recurse on the
     complete graph they form with the top vertex) and an independent part of
-    i = n-2-x (all binom(i,2) inner edges removed).
+    n-2-x (all its inner edges removed).  With i = x+1 that reads
+
+        l'(n) = min over 1 <= i <= n-1 of (i - 1 + l'(i)) + binom(n-1-i, 2),
+
+    and binom(k, 2) is convex in k, its increments being k, so
+    ``_convex_table`` computes it exactly.
+
+    l' is itself convex.  The formula gives 0 at n = 2 and 3 too, so l' on
+    2..n is a prefix of the min-plus convolution of i - 1 + l'(i) on 1..n-1
+    with binom(d-1, 2) on d >= 1.  If l' is convex on 1..n-1, both are
+    convex, so their convolution is too (its slopes are the merged slopes of
+    the two); as l'(2) - l'(1) = 0 <= l'(3) - l'(2), l' is convex on 1..n.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    table = [0] * (n_max + 1)
-    for n in range(4, n_max + 1):
-        table[n] = min(
-            x + (n - 2 - x) * (n - 3 - x) // 2 + table[x + 1] for x in range(n - 1)
-        )
-    return tuple(table)
+    binom2 = [k * (k - 1) // 2 for k in range(n_max + 1)]
+    return tuple(_convex_table(n_max, 1, 1, lambda i, t: i - 1 + t, binom2))
+
+
+def _general_lb(lp: tuple[int, ...]) -> tuple[int, ...]:
+    """``general_lb`` from an already computed l' table of the same length."""
+    n_max = len(lp) - 1
+    if n_max < 4:
+        return tuple([0] * (n_max + 1))
+    size = n_max - 1  # largest x+y+z+i we ever split
+    cost_one = [x + lp[x + 1] for x in range(size)]
+    for x in range(1, size - 1):
+        if cost_one[x - 1] + cost_one[x + 1] < 2 * cost_one[x]:
+            raise RuntimeError(f"l' is not convex: l'(n-1) + l'(n+1) < 2 l'(n) at n = {x + 1}")
+    # For convex cost_one, cost_one[x] + cost_one[s - x] is least at x = s // 2.
+    best_xy = [cost_one[s // 2] + cost_one[s - s // 2] for s in range(size)]
+    # Min-plus convolution with binom(i, 2): merge the two nondecreasing slope
+    # sequences, best_xy's and binom's 0, 1, 2, ...
+    best_xyi = [best_xy[0]]
+    taken = binom_slope = 0
+    for _ in range(size - 1):
+        xy_slope = best_xy[taken + 1] - best_xy[taken]
+        if xy_slope <= binom_slope:
+            best_xyi.append(best_xyi[-1] + xy_slope)
+            taken += 1
+        else:
+            best_xyi.append(best_xyi[-1] + binom_slope)
+            binom_slope += 1
+    return tuple(_convex_table(n_max, 0, 2, lambda z, t: 2 * z + t, best_xyi))
 
 
 def general_lb(n_max: int) -> tuple[int, ...]:
@@ -101,22 +183,20 @@ def general_lb(n_max: int) -> tuple[int, ...]:
     Minimises x + y + 2z + binom(i,2) + l'(x+1) + l'(y+1) + L(z) over all
     splits x+y+z+i = n-2: each X/Y vertex loses its edge to one extreme and
     the classes recurse, each Z vertex loses edges to both extremes, and the
-    I class must become independent.  Precomputed prefix minima keep the
-    whole table quadratic.
+    I class must become independent.  With cost_one[x] = x + l'(x+1):
+
+    * best_xy[s], the least cost_one[x] + cost_one[s-x], is the min-plus
+      self-convolution of cost_one.  cost_one is convex because l' is (see
+      ``restricted_lb``; checked here in O(n), raising RuntimeError naming
+      the first n where it fails), so the even split x = s // 2 attains it.
+    * best_xyi[s], the least binom(i,2) + best_xy[s-i], convolves two convex
+      sequences, so it is the merge of their slopes and is convex itself.
+    * L(n) = min over z of 2z + L(z) + best_xyi[n-2-z] then has a convex
+      kernel and goes through ``_convex_table`` like l'.
+
+    Exact, in O(n_max log n_max).
     """
-    lp = restricted_lb(n_max)
-    if n_max < 4:
-        return tuple([0] * (n_max + 1))
-    size = n_max - 1  # largest x+y+z+i we ever split
-    cost_one = [x + lp[x + 1] for x in range(size)]
-    best_xy = [min(cost_one[x] + cost_one[s - x] for x in range(s + 1)) for s in range(size)]
-    best_xyi = [
-        min(i * (i - 1) // 2 + best_xy[s - i] for i in range(s + 1)) for s in range(size)
-    ]
-    table = [0] * (n_max + 1)
-    for n in range(4, n_max + 1):
-        table[n] = min(2 * z + table[z] + best_xyi[n - 2 - z] for z in range(n - 1))
-    return tuple(table)
+    return _general_lb(restricted_lb(n_max))
 
 
 @dataclass(frozen=True)
@@ -128,23 +208,41 @@ class DpTables:
     omega: tuple[Decimal, ...]
 
 
-def power_law_column(n_max: int) -> tuple[Decimal, ...]:
-    """(3/100) * n**1.2 for n = 0..n_max, quantised to 4 decimal places.
+def _iroot5(m: int) -> int:
+    """floor(m ** (1/5)) for an integer m >= 0, by integer Newton steps from above."""
+    if m == 0:
+        return 0
+    x = 1 << -(-m.bit_length() // 5)
+    while True:
+        y = (4 * x + m // x**4) // 5
+        if y >= x:
+            return x
+        x = y
 
-    Computed at 60 digits in a local context; the caller's context is left as is.
+
+def power_law_column(n_max: int) -> tuple[Decimal, ...]:
+    """(3/100) * n**1.2 for n = 0..n_max, rounded to 4 decimal places.
+
+    10**4 times the value is v = 300 * n**(6/5), the fifth root of
+    m = 300**5 * n**6.  With r = floor(v), v rounds up iff v > r + 1/2, that
+    is iff (2r + 1)**5 < 32 * m; v = r + 1/2 cannot happen, because the fifth
+    power of a rational that is not an integer is not an integer.  The
+    arithmetic is on integers, and each Decimal is built from r's digits with
+    exponent -4, so no decimal context is read or changed.
     """
-    with localcontext() as ctx:
-        ctx.prec = 60
-        fifth = Decimal(1) / Decimal(5)
-        out = []
-        for n in range(n_max + 1):
-            value = Decimal(3) * (Decimal(n) ** 6) ** fifth / Decimal(100)
-            out.append(value.quantize(Decimal("0.0001")))
+    out = []
+    for n in range(n_max + 1):
+        m = 300**5 * n**6
+        r = _iroot5(m)
+        if (2 * r + 1) ** 5 < 32 * m:
+            r += 1
+        out.append(Decimal((0, tuple(map(int, str(r))), -4)))
     return tuple(out)
 
 
 def dp_tables(n_max: int) -> DpTables:
-    return DpTables(restricted_lb(n_max), general_lb(n_max), power_law_column(n_max))
+    lprime = restricted_lb(n_max)
+    return DpTables(lprime, _general_lb(lprime), power_law_column(n_max))
 
 
 @dataclass(frozen=True)
@@ -161,7 +259,7 @@ def check_bounds(n_max: int) -> BoundCheck:
     L(n) >= (3/100) n^{6/5} as (100*L)^5 >= 3^5 * n^6, for 4 <= n <= n_max.
     """
     lp = restricted_lb(n_max)
-    general = general_lb(n_max)
+    general = _general_lb(lp)
     for n in range(4, n_max + 1):
         if (10 * lp[n]) ** 2 < n**3:
             return BoundCheck(n_max, False, ("lprime", n))

@@ -137,6 +137,35 @@ def test_parse_graph_errors_carry_line_numbers(text, bad_line):
     assert exc.value.line_no == bad_line
 
 
+# One case or more per raise site of parse_graph, with the exact message.
+@pytest.mark.parametrize(
+    "text, message, line_no",
+    [
+        ("3\n0 1\n", "line 1: expected header 'n m'", 1),
+        ("x y\n", "line 1: header values must be integers", 1),
+        ("0 0\n", "line 1: bad header n=0 m=0", 1),
+        ("3 -1\n", "line 1: bad header n=3 m=-1", 1),
+        ("3 1\n0\n", "line 2: expected edge line 'u v'", 2),
+        ("3 1\n0 1 2\n", "line 2: expected edge line 'u v'", 2),
+        ("3 1\n0 one\n", "line 2: edge endpoints must be integers", 2),
+        ("3 1\n1 1\n", "line 2: self-loop at vertex 1", 2),
+        ("3 1\n2 1\n", "line 2: edge must be written 'u v' with u < v, got 2 1", 2),
+        ("3 1\n0 3\n", "line 2: vertex 3 out of range for n=3", 2),
+        ("3 1\n-1 2\n", "line 2: vertex -1 out of range", 2),
+        ("3 2\n0 1\n0 1\n", "line 3: duplicate edge (0, 1)", 3),
+        ("", "line 1: empty graph text", 1),
+        ("# only a note\n\n", "line 1: empty graph text", 1),
+        ("3 2\n0 1\n", "line 1: header announced 2 edges but 1 were given", 1),
+        ("# note\n\n3 2\n0 1\n", "line 3: header announced 2 edges but 1 were given", 3),
+    ],
+)
+def test_parse_graph_error_messages(text, message, line_no):
+    with pytest.raises(ParseError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+    assert exc.value.line_no == line_no
+
+
 def test_serialize_graph_is_sorted_and_round_trips():
     g = graph_from_edges(4, [(2, 3), (0, 1), (0, 3)])
     text = serialize_graph(g)

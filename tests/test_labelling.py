@@ -55,6 +55,28 @@ def test_report_lists_every_conflict():
     assert "(0, 3)" in str(report)
 
 
+def test_report_lists_many_conflicts_in_edge_order():
+    import random
+
+    rng = random.Random(2020)
+    n = 60
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+    edges |= {(i, i + 1) for i in range(n - 1)}
+    g = graph_from_edges(n, edges)
+    labels = [rng.randint(1, 3) for _ in range(n)]  # gaps 0..2, so colours clash often
+    colours = induced_colouring(g, labels)
+    expected = tuple(
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u, v) in edges and colours[u] == colours[v]
+    )
+    assert len(expected) > 100
+    ok, report = is_gap_labelling(g, labels)
+    assert not ok
+    assert report.conflicts == expected
+
+
 def test_length_and_positivity_validation():
     g = complete_graph(3)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ from gaplab import (
     parse_graph,
     restricted_lb,
 )
+from gaplab.strength import _convex_table, _general_lb
 
 
 # --- reference recurrences, written independently of the table builders ----
@@ -51,6 +53,79 @@ def general_reference(n_max):
             for i in [n - 2 - x - y - z]
         )
     return table
+
+
+# --- the quadratic table builders the convex O(n log n) ones replaced --------
+
+
+def restricted_lb_quadratic(n_max):
+    table = [0] * (n_max + 1)
+    for n in range(4, n_max + 1):
+        table[n] = min(
+            x + (n - 2 - x) * (n - 3 - x) // 2 + table[x + 1] for x in range(n - 1)
+        )
+    return tuple(table)
+
+
+def general_lb_quadratic(n_max):
+    lp = restricted_lb_quadratic(n_max)
+    if n_max < 4:
+        return tuple([0] * (n_max + 1))
+    size = n_max - 1
+    cost_one = [x + lp[x + 1] for x in range(size)]
+    best_xy = [min(cost_one[x] + cost_one[s - x] for x in range(s + 1)) for s in range(size)]
+    best_xyi = [
+        min(i * (i - 1) // 2 + best_xy[s - i] for i in range(s + 1)) for s in range(size)
+    ]
+    table = [0] * (n_max + 1)
+    for n in range(4, n_max + 1):
+        table[n] = min(2 * z + table[z] + best_xyi[n - 2 - z] for z in range(n - 1))
+    return tuple(table)
+
+
+def test_tables_match_quadratic_builders_for_every_small_n_max():
+    lp = restricted_lb_quadratic(120)
+    general = general_lb_quadratic(120)
+    for n_max in range(121):
+        assert restricted_lb(n_max) == lp[: n_max + 1], n_max
+        assert general_lb(n_max) == general[: n_max + 1], n_max
+
+
+def test_tables_match_quadratic_builders_at_1000():
+    assert restricted_lb(1000) == restricted_lb_quadratic(1000)
+    assert general_lb(1000) == general_lb_quadratic(1000)
+
+
+def test_convex_table_matches_brute_force_for_any_lead():
+    import random
+
+    rng = random.Random(1)
+    for _ in range(400):
+        n_max = rng.randint(0, 40)
+        gap = rng.randint(1, 3)
+        first = rng.randint(0, 4 - gap)
+        slopes = sorted(rng.randint(-20, 20) for _ in range(n_max + 1))
+        kernel = [rng.randint(-50, 50)]
+        for slope in slopes:
+            kernel.append(kernel[-1] + slope)
+        noise = [rng.randint(-30, 30) for _ in range(n_max + 1)]
+
+        def lead(i, t):
+            return 2 * i + t + noise[i]
+
+        expected = [0] * (n_max + 1)
+        for j in range(4, n_max + 1):
+            expected[j] = min(
+                lead(i, expected[i]) + kernel[j - gap - i] for i in range(first, j - gap + 1)
+            )
+        assert _convex_table(n_max, first, gap, lead, kernel) == expected
+
+
+def test_general_table_rejects_a_nonconvex_lprime():
+    lp = list(restricted_lb(30))
+    lp[20] += 5  # l'(19) + l'(21) < 2 l'(20), and convex everywhere before
+    with pytest.raises(RuntimeError, match=r"at n = 20$"):
+        _general_lb(tuple(lp))
 
 
 def test_restricted_table_anchors():
@@ -90,6 +165,11 @@ def test_general_never_exceeds_restricted():
 
 def test_bound_check_passes_through_218():
     report = check_bounds(218)
+    assert report.ok and report.first_violation is None
+
+
+def test_bound_check_passes_through_10000():
+    report = check_bounds(10_000)
     assert report.ok and report.first_violation is None
 
 
@@ -240,6 +320,16 @@ def test_emit_tables_row_count_and_values():
         assert Decimal(omega_s) == tables.omega[n]
 
 
+def test_emit_tables_2000_is_pinned():
+    # sha256 and length of the output of the quadratic builders and the
+    # 60-digit Decimal column that the current code replaced
+    text = emit_tables(2000).encode()
+    assert len(text) == 48063
+    assert hashlib.sha256(text).hexdigest() == (
+        "d1632378e696bef16816bbd7f203aabfa2bacc5f7597804e7ea2144d9afd51fa"
+    )
+
+
 def test_omega_column_has_four_decimals():
     tables = dp_tables(10)
     assert str(tables.omega[4]) == "0.1583"
@@ -251,16 +341,16 @@ def test_power_law_column_leaves_caller_precision_alone():
 
     with localcontext() as ctx:
         ctx.prec = 17
-        column = power_law_column(50)
+        column = power_law_column(2000)
         assert getcontext().prec == 17
     with localcontext() as ctx:
         ctx.prec = 60
         fifth = Decimal(1) / Decimal(5)
-        expected = tuple(
+        expected = [
             (Decimal(3) * (Decimal(n) ** 6) ** fifth / Decimal(100)).quantize(Decimal("0.0001"))
-            for n in range(51)
-        )
-    assert column == expected
+            for n in range(2001)
+        ]
+    assert [str(x) for x in column] == [str(x) for x in expected]
 
 
 def test_removed_edge_ledger_is_loadable():
