@@ -1,6 +1,8 @@
 """Immutable simple undirected graphs, family generators, and edge-list I/O.
 
-Vertices are dense 0-based integers.  The text format is:
+Vertices are dense 0-based integers.  A ``Graph`` stores only the sorted
+neighbour tuple of every vertex; its edge set, edge count and adjacency test
+are derived from those tuples.  The text format is:
 
     n m
     u v        (one line per edge, 0 <= u < v < n)
@@ -12,9 +14,11 @@ ledgers) stay loadable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, repeat
+from operator import add, lt, mul
 from typing import Iterable
 
 from .errors import MissingEdgeError, ParseError
@@ -24,15 +28,25 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph."""
+    """A simple undirected graph.
+
+    ``adjacency[v]`` is the ascending tuple of v's neighbours; it is the only
+    stored form, so equality and hashing compare ``n`` and ``adjacency``.
+    """
 
     n: int
-    edges: frozenset[Edge]
     adjacency: tuple[tuple[int, ...], ...]
 
     @property
+    def edges(self) -> frozenset[Edge]:
+        """Every edge as a (u, v) pair with u < v, built on each access."""
+        return frozenset(
+            (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v
+        )
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -41,20 +55,23 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges if u < v else (v, u) in self.edges
+        if not 0 <= u < self.n:
+            return False
+        nbrs = self.adjacency[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
 def _build(n: int, edges: Iterable[Edge]) -> Graph:
-    """Assemble a Graph from already-normalised (u < v) edges."""
-    edge_set = frozenset(edges)
+    """Assemble a Graph from distinct, already-normalised (u < v) edges."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_set:
+    for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return Graph(n, edge_set, tuple(tuple(sorted(a)) for a in nbrs))
+    return Graph(n, tuple(tuple(sorted(a)) for a in nbrs))
 
 
 def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
@@ -112,12 +129,21 @@ def remove_edges(g: Graph, removals: Iterable[Edge]) -> Graph:
     to_drop: set[Edge] = set()
     for u, v in removals:
         e = (u, v) if u < v else (v, u)
-        if e not in g.edges:
+        if not g.has_edge(*e):
             raise MissingEdgeError(e)
         if e in to_drop:
             raise ValueError(f"edge {e} listed twice for removal")
         to_drop.add(e)
-    return _build(g.n, g.edges - to_drop)
+    touched = {w for e in to_drop for w in e}
+    return Graph(
+        g.n,
+        tuple(
+            tuple(w for w in nbrs if ((u, w) if u < w else (w, u)) not in to_drop)
+            if u in touched
+            else nbrs
+            for u, nbrs in enumerate(g.adjacency)
+        ),
+    )
 
 
 def is_connected(g: Graph) -> bool:
@@ -137,8 +163,82 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
+_DIGITS = b"0123456789"
+# The ASCII characters other than "\n" at which str.splitlines ends a line.
+_OTHER_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format described in the module docstring."""
+    """Parse the edge-list format described in the module docstring.
+
+    Text laid out as ``serialize_graph`` writes it is read whole; any other
+    text, and every error, goes through the line loop, the one place that
+    raises ParseError.  Both give the same Graph for the same text.
+    """
+    g = _parse_whole(text)
+    return g if g is not None else _parse_lines(text)
+
+
+def _parse_whole(text: str) -> Graph | None:
+    """The graph of a text in the written layout, or None.
+
+    The layout: leading ``#`` comment lines, then "n m" and one "u v" line
+    per edge, each two runs of decimal digits joined by one space and ended
+    by a newline (the last may lack it).  On such text the line loop's
+    checks are made on all edges at once: range, by looking every endpoint
+    up among the names of the vertices 0..n-1; u < v; and duplicates.  Pairs
+    in strictly increasing order (u * n + v ascends with (u, v)) have none,
+    and their neighbour lists come out sorted.  None means "not proved
+    valid": the caller then runs the line loop, which accepts or reports.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode()
+    start = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1
+        if start == 0:
+            return None
+    if len(data[:start].translate(None, _OTHER_LINE_BREAKS)) != start:
+        return None  # the line loop would end a comment early and read on
+    body = data[start:]
+    tokens = body.split()
+    pairs, odd = divmod(len(tokens), 2)
+    layout = b" \n" * pairs
+    separators = body.translate(None, _DIGITS)
+    if odd or not pairs or (separators != layout and separators != layout[:-1]):
+        return None
+    try:
+        n, m = int(tokens[0]), int(tokens[1])
+    except ValueError:  # past the interpreter's digit limit
+        return None
+    if n < 1 or m != pairs - 1:
+        return None
+    names = {b"%d" % v: v for v in range(n)}
+    try:
+        ends = list(map(names.__getitem__, islice(tokens, 2, None)))
+    except KeyError:  # out of range, or written with leading zeros
+        return None
+    del tokens, names
+    us, vs = ends[0::2], ends[1::2]
+    if not all(map(lt, us, vs)):
+        return None
+    keys = list(map(add, map(mul, us, repeat(n)), vs))
+    ordered = all(map(lt, keys, islice(keys, 1, None)))
+    if not ordered and len(set(keys)) < m:
+        return None
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    # any() only drains each map, as append returns None.  Lower neighbours
+    # go in first because they come first in lexicographic edge order.
+    any(map(list.append, map(nbrs.__getitem__, vs), us))
+    any(map(list.append, map(nbrs.__getitem__, us), vs))
+    if ordered:
+        return Graph(n, tuple(map(tuple, nbrs)))
+    return Graph(n, tuple(tuple(sorted(a)) for a in nbrs))
+
+
+def _parse_lines(text: str) -> Graph:
+    """Parse line by line, raising ParseError at the first bad line."""
     lines = text.splitlines()
     header: tuple[int, int] | None = None
     header_line = 0
@@ -190,6 +290,10 @@ def parse_graph(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
+    """Header, then every edge once in lexicographic order, which is the
+    order of the sorted neighbour tuples read from each lower end."""
     out = [f"{g.n} {g.edge_count}"]
-    out.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    for u, nbrs in enumerate(g.adjacency):
+        head = f"{u} "
+        out.extend(map(head.__add__, map(str, islice(nbrs, bisect_right(nbrs, u), None))))
     return "\n".join(out) + "\n"

@@ -8,11 +8,14 @@ the induced colouring is proper, i.e. no edge joins two equally coloured
 vertices.
 
 Labels and colours are plain Python integers, so constructions that assign
-labels up to 2**(n-1) work unchanged for any n.
+labels up to 2**(n-1) work unchanged for any n; the text I/O below reads and
+writes them past the interpreter's int <-> str digit limit.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedInputError
@@ -44,7 +47,9 @@ def validate_labelling(g: Graph, labels) -> Labelling:
         raise ValueError(f"labelling has {len(labels)} entries for a graph on {g.n} vertices")
     for v, lab in enumerate(labels):
         if lab < 1:
-            raise ValueError(f"label of vertex {v} must be a positive integer, got {lab}")
+            with _any_digit_count():
+                message = f"label of vertex {v} must be a positive integer, got {lab}"
+            raise ValueError(message)
     return labels
 
 
@@ -58,15 +63,15 @@ def induced_colouring(g: Graph, labels) -> Colouring:
     labels = validate_labelling(g, labels)
     if g.n < 2:
         raise UnsupportedInputError("colouring needs at least two vertices")
+    label_of = labels.__getitem__
     colours = []
-    for v in range(g.n):
-        nbrs = g.adjacency[v]
+    for v, nbrs in enumerate(g.adjacency):
         if not nbrs:
             raise UnsupportedInputError(f"vertex {v} is isolated")
         if len(nbrs) == 1:
             colours.append(labels[nbrs[0]])
         else:
-            values = [labels[u] for u in nbrs]
+            values = list(map(label_of, nbrs))
             colours.append(max(values) - min(values))
     return tuple(colours)
 
@@ -74,16 +79,48 @@ def induced_colouring(g: Graph, labels) -> Colouring:
 def is_gap_labelling(g: Graph, labels) -> tuple[bool, ConflictReport]:
     """True plus an empty report iff the induced colouring is proper.
 
-    The report lists every conflicting edge in lexicographic order, not just
-    the first, so test failures show the whole picture.
+    Only vertices of one colour can conflict, so each colour class of two or
+    more vertices is intersected with its members' neighbourhoods.  The
+    report lists every conflicting edge in lexicographic order, not just the
+    first, so test failures show the whole picture.
     """
     colours = induced_colouring(g, labels)
-    conflicts = tuple(sorted((u, v) for u, v in g.edges if colours[u] == colours[v]))
-    return not conflicts, ConflictReport(conflicts)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colours):
+        classes.setdefault(c, []).append(v)
+    conflicts = []
+    for members in classes.values():
+        if len(members) > 1:
+            same = set(members)
+            for u in members:
+                conflicts.extend((u, w) for w in same.intersection(g.adjacency[u]) if u < w)
+    conflicts.sort()
+    return not conflicts, ConflictReport(tuple(conflicts))
+
+
+@contextmanager
+def _any_digit_count():
+    """Lift the int <-> str digit limit (Python 3.10.7 on) inside the block,
+    then restore the caller's limit; older interpreters have no limit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def parse_labelling(text: str) -> Labelling:
     """Read either the "vertex label" line format or a single comma list."""
+    with _any_digit_count():
+        return _parse_labelling(text)
+
+
+def _parse_labelling(text: str) -> Labelling:
     data_lines = [
         (idx, line.strip())
         for idx, line in enumerate(text.splitlines(), start=1)
@@ -117,4 +154,5 @@ def parse_labelling(text: str) -> Labelling:
 
 def serialize_labelling(values) -> str:
     """Write one "vertex value" line per vertex; works for colourings too."""
-    return "".join(f"{v} {val}\n" for v, val in enumerate(values))
+    with _any_digit_count():
+        return "".join(f"{v} {val}\n" for v, val in enumerate(values))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from gaplab import complete_graph, parse_graph, parse_labelling, serialize_graph
@@ -182,3 +184,26 @@ def test_parse_error_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "decide", "--graph", str(bad))
     assert code == 1
     assert "line 2" in err
+
+
+def test_verify_reads_a_label_past_the_digit_limit(tmp_path, capsys):
+    # P_3 with labels 1, 10^5000, 1: the ends take colour 10^5000, the centre 0.
+    graph_file = tmp_path / "p3.graph"
+    labels_file = tmp_path / "p3.labels"
+    graph_file.write_text("3 2\n0 1\n1 2\n")
+    labels_file.write_text("0 1\n1 1" + "0" * 5000 + "\n2 1\n")
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run(capsys, "verify", "--graph", str(graph_file), "--labels", str(labels_file))
+    assert (code, out, err) == (0, "VALID\n", "")
+    assert get_limit() == limit
+
+
+def test_verify_names_a_negative_label_past_the_digit_limit(tmp_path, capsys):
+    graph_file = tmp_path / "p3.graph"
+    labels_file = tmp_path / "p3.labels"
+    graph_file.write_text("3 2\n0 1\n1 2\n")
+    labels_file.write_text("0 1\n1 -1" + "0" * 5000 + "\n2 1\n")
+    code, out, err = run(capsys, "verify", "--graph", str(graph_file), "--labels", str(labels_file))
+    assert (code, out) == (1, "")
+    assert err == "error: label of vertex 1 must be a positive integer, got -1" + "0" * 5000 + "\n"

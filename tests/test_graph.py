@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gaplab import graph as graph_module
 from gaplab import (
     MissingEdgeError,
     ParseError,
@@ -200,3 +202,193 @@ def test_is_connected():
     assert is_connected(complete_graph(1))
     assert not is_connected(graph_from_edges(4, [(0, 1), (2, 3)]))
     assert not is_connected(graph_from_edges(3, [(0, 1)]))
+
+
+def test_has_edge_is_false_outside_the_vertex_range():
+    g = path_power(5, 2)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    # adjacency[-1] is vertex 4's row, which holds 3: a bare index would say yes.
+    assert g.has_edge(4, 3) and not g.has_edge(-1, 3) and not g.has_edge(3, -1)
+    for u, v in [(0, 5), (5, 0), (5, 6), (-1, -2), (-5, 0), (0, -5), (2, 2), (10**30, 1)]:
+        assert not g.has_edge(u, v), (u, v)
+
+
+def _seeded_edge_lists(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        pool = list(combinations(range(n), 2))
+        edges = rng.sample(pool, rng.randint(0, len(pool)))
+        yield n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def test_derived_edges_count_equality_and_hash_match_the_stored_fields():
+    for n, edges in _seeded_edge_lists(300, 17):
+        g = graph_from_edges(n, edges)
+        normalised = frozenset((min(e), max(e)) for e in edges)
+        assert g.edges == normalised
+        assert g.edge_count == len(normalised)
+        # The sorted neighbour tuples the old constructor stored next to the edge set.
+        nbrs = [[] for _ in range(n)]
+        for u, v in normalised:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        assert g.adjacency == tuple(tuple(sorted(a)) for a in nbrs)
+        again = graph_from_edges(n, list(reversed(edges)))
+        assert again == g and hash(again) == hash(g)
+        if normalised:
+            fewer = remove_edges(g, [min(normalised)])
+            assert fewer != g and fewer.edges == normalised - {min(normalised)}
+        assert graph_from_edges(n + 1, edges) != g
+
+
+def _old_serialize(g):
+    return f"{g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+
+
+def test_serialize_graph_equals_sorted_edge_formatting_for_every_family():
+    graphs = [complete_graph(n) for n in range(1, 12)]
+    graphs += [path_power(n, k) for n in range(2, 14) for k in range(1, n)]
+    graphs += [cycle_power(n, k) for n in range(3, 14) for k in range(1, n)]
+    graphs += [remove_edges(complete_graph(7), [(0, 6), (2, 3), (1, 5)])]
+    graphs += [graph_from_edges(n, edges) for n, edges in _seeded_edge_lists(100, 5)]
+    for g in graphs:
+        assert serialize_graph(g) == _old_serialize(g), g
+
+
+def _old_parse_graph(text):
+    """The line-by-line parser as it was before the whole-text path: the oracle."""
+    lines = text.splitlines()
+    header = None
+    header_line = 0
+    edges = []
+    seen = set()
+    n = 0
+    for idx, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise ParseError("expected header 'n m'", idx)
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("header values must be integers", idx) from None
+            if n < 1 or m < 0:
+                raise ParseError(f"bad header n={n} m={m}", idx)
+            header = (n, m)
+            header_line = idx
+            continue
+        if len(parts) != 2:
+            raise ParseError("expected edge line 'u v'", idx)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", idx) from None
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", idx)
+        if not u < v:
+            raise ParseError(f"edge must be written 'u v' with u < v, got {u} {v}", idx)
+        if v >= n:
+            raise ParseError(f"vertex {v} out of range for n={n}", idx)
+        if u < 0:
+            raise ParseError(f"vertex {u} out of range", idx)
+        if (u, v) in seen:
+            raise ParseError(f"duplicate edge ({u}, {v})", idx)
+        seen.add((u, v))
+        edges.append((u, v))
+    if header is None:
+        raise ParseError("empty graph text", 1)
+    if len(edges) != header[1]:
+        raise ParseError(
+            f"header announced {header[1]} edges but {len(edges)} were given", header_line
+        )
+    edge_set = frozenset(edges)
+    nbrs = [[] for _ in range(n)]
+    for u, v in edge_set:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return n, edge_set, tuple(tuple(sorted(a)) for a in nbrs)
+
+
+_ENDINGS = ["\n"] * 4 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+_SPACES = [" "] * 4 + ["  ", "\t", " \t", "\x1f", "\xa0"]
+_TOKENS = ["+{}", "0{}", "-{}", "{}_0", "{}x", "{}.0", "\u0661", "1" + "0" * 4400]
+
+
+def _random_edge_text(rng):
+    n = rng.randint(1, 9)
+    pool = list(combinations(range(n), 2))
+    edges = rng.sample(pool, rng.randint(0, len(pool)))
+    if rng.random() < 0.6:
+        edges.sort()
+    m = len(edges) + (rng.choice([-1, 1]) if rng.random() < 0.1 else 0)  # maybe a wrong count
+    rows = [[str(n), str(m)]] + [[str(u), str(v)] for u, v in edges]
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
+        if not rows:
+            break
+        roll = rng.random()
+        row = rng.randrange(len(rows))
+        if roll < 0.15 and len(rows) > 1:  # duplicate an edge line
+            rows.insert(rng.randrange(1, len(rows) + 1), rows[rng.randrange(1, len(rows))])
+        elif roll < 0.25 and len(rows) > 2:  # swap two edge lines out of order
+            i, j = rng.sample(range(1, len(rows)), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif roll < 0.45:  # endpoint out of range, or the header or an edge swapped
+            rows[row] = rows[row][:1] + [str(n + rng.randint(0, 2))] if row else rows[row][::-1]
+        elif roll < 0.55:  # a line with the wrong number of fields
+            if row and rng.random() < 0.5:  # a field moved to the line before
+                rows[row - 1], rows[row] = rows[row - 1] + rows[row][:1], rows[row][1:]
+            else:
+                rows[row] = rows[row][:1] if rng.random() < 0.5 else rows[row] + ["0"]
+        elif roll < 0.65:  # an odd but maybe acceptable spelling of a number
+            col = rng.randrange(len(rows[row]))
+            rows[row][col] = rng.choice(_TOKENS).format(rows[row][col])
+        elif roll < 0.75:  # drop the body or the whole text
+            rows = rows[:1] if rng.random() < 0.5 else []
+        else:  # self-loop
+            rows.insert(rng.randrange(1, len(rows) + 1), ["1", "1"])
+    plain = rng.random() < 0.5  # one space and "\n" throughout, as serialize_graph writes
+    lines = [(" " if plain else rng.choice(_SPACES)).join(row) for row in rows]
+    for _ in range(rng.choice([0, 0, 1, 2])):  # comments and blank lines anywhere
+        filler = rng.choice(["# note", "#", "", "   ", "\t# indented note", "# a\rb"])
+        lines.insert(rng.randrange(len(lines) + 1), filler)
+    if rng.random() < 0.1:
+        lines = [" " + line + " " for line in lines]
+    text = "".join(line + ("\n" if plain else rng.choice(_ENDINGS)) for line in lines)
+    return text[:-1] if lines and rng.random() < 0.15 else text
+
+
+def _fields(g):
+    return g.n, g.edges, g.adjacency
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line_no
+
+
+def test_parse_graph_agrees_with_the_line_by_line_oracle():
+    rng = random.Random(2024)
+    whole = 0
+    for case in range(4000):
+        text = _random_edge_text(rng)
+        expected = _parsed(_old_parse_graph, text)
+        assert _parsed(lambda t: _fields(parse_graph(t)), text) == expected, (case, text)
+        g = graph_module._parse_whole(text)
+        if g is not None:
+            whole += 1
+            assert _fields(g) == expected, (case, text)
+    assert whole > 300  # the whole-text path itself was exercised
+
+
+def test_whole_text_path_reads_what_serialize_graph_writes():
+    for n, edges in _seeded_edge_lists(50, 9):
+        g = graph_from_edges(n, edges)
+        text = serialize_graph(g)
+        assert graph_module._parse_whole(text) == g
+        assert graph_module._parse_whole("# note\n#\n" + text.rstrip("\n")) == g

@@ -1,3 +1,5 @@
+import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -181,3 +183,35 @@ def test_parse_labelling_errors(text):
 def test_serialize_round_trip():
     labels = (2, 1, 4, 1 << 80)
     assert parse_labelling(serialize_labelling(labels)) == labels
+
+
+def test_verify_by_colour_class_equals_a_scan_of_every_edge():
+    rng = random.Random(8)
+    for case in range(300):
+        n = rng.randint(2, 14)
+        pool = list(combinations(range(n), 2))
+        edges = rng.sample(pool, rng.randint(1, len(pool)))
+        g = graph_from_edges(n, edges + [(v - 1, v) for v in range(1, n) if (v - 1, v) not in edges])
+        for labels in ([1] * n, [rng.randint(1, 3) for _ in range(n)], [rng.randint(1, 4 * n) for _ in range(n)]):
+            colours = induced_colouring(g, labels)
+            scan = tuple(sorted((u, v) for u, v in g.edges if colours[u] == colours[v]))
+            ok, report = is_gap_labelling(g, labels)
+            assert report.conflicts == scan and ok == (not scan), (case, labels)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit limit here"
+)
+def test_labels_past_the_digit_limit_round_trip_and_leave_the_limit_alone():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        labels = (1, 2**14299, 3)
+        text = serialize_labelling(labels)
+        assert parse_labelling(text) == labels
+        big = text.splitlines()[1].split()[1]
+        assert len(big) == 4305
+        assert parse_labelling(f"1, {big}, 3") == labels
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
