@@ -9,13 +9,12 @@ vertices.
 
 Labels and colours are plain Python integers, so constructions that assign
 labels up to 2**(n-1) work unchanged for any n; the text I/O below reads and
-writes them past the interpreter's int <-> str digit limit.
+writes them past the interpreter's int <-> str digit limit without changing
+that limit.
 """
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedInputError
@@ -47,9 +46,7 @@ def validate_labelling(g: Graph, labels) -> Labelling:
         raise ValueError(f"labelling has {len(labels)} entries for a graph on {g.n} vertices")
     for v, lab in enumerate(labels):
         if lab < 1:
-            with _any_digit_count():
-                message = f"label of vertex {v} must be a positive integer, got {lab}"
-            raise ValueError(message)
+            raise ValueError(f"label of vertex {v} must be a positive integer, got {_str(lab)}")
     return labels
 
 
@@ -98,29 +95,38 @@ def is_gap_labelling(g: Graph, labels) -> tuple[bool, ConflictReport]:
     return not conflicts, ConflictReport(tuple(conflicts))
 
 
-@contextmanager
-def _any_digit_count():
-    """Lift the int <-> str digit limit (Python 3.10.7 on) inside the block,
-    then restore the caller's limit; older interpreters have no limit."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
+def _int(token: str) -> int:
+    """int(token) for any number of digits.
+
+    Past the int <-> str digit limit (Python 3.10.7 on), a token that int()
+    would take, an optional sign and digit groups joined by single
+    underscores, is read through Decimal, whose conversions have no limit.
+    """
     try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+        return int(token)
+    except ValueError:
+        digits = token.strip()
+        sign = digits[:1] if digits[:1] in ("+", "-") else ""
+        groups = digits[len(sign) :].split("_")
+        if not all(map(str.isdecimal, groups)):
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(sign + "".join(groups)))
+
+
+def _str(value: int) -> str:
+    """str(value) for any number of digits, through Decimal past the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(value))
 
 
 def parse_labelling(text: str) -> Labelling:
     """Read either the "vertex label" line format or a single comma list."""
-    with _any_digit_count():
-        return _parse_labelling(text)
-
-
-def _parse_labelling(text: str) -> Labelling:
     data_lines = [
         (idx, line.strip())
         for idx, line in enumerate(text.splitlines(), start=1)
@@ -131,7 +137,7 @@ def _parse_labelling(text: str) -> Labelling:
     if len(data_lines) == 1 and "," in data_lines[0][1]:
         idx, line = data_lines[0]
         try:
-            return tuple(int(part.strip()) for part in line.split(","))
+            return tuple(_int(part.strip()) for part in line.split(","))
         except ValueError:
             raise ParseError("comma form must contain integers only", idx) from None
     by_vertex: dict[int, int] = {}
@@ -140,7 +146,7 @@ def _parse_labelling(text: str) -> Labelling:
         if len(parts) != 2:
             raise ParseError("expected 'vertex label'", idx)
         try:
-            v, lab = int(parts[0]), int(parts[1])
+            v, lab = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise ParseError("vertex and label must be integers", idx) from None
         if v in by_vertex:
@@ -154,5 +160,4 @@ def _parse_labelling(text: str) -> Labelling:
 
 def serialize_labelling(values) -> str:
     """Write one "vertex value" line per vertex; works for colourings too."""
-    with _any_digit_count():
-        return "".join(f"{v} {val}\n" for v, val in enumerate(values))
+    return "".join(f"{v} {_str(val)}\n" for v, val in enumerate(values))

@@ -159,6 +159,9 @@ def test_parse_graph_errors_carry_line_numbers(text, bad_line):
         ("# only a note\n\n", "line 1: empty graph text", 1),
         ("3 2\n0 1\n", "line 1: header announced 2 edges but 1 were given", 1),
         ("# note\n\n3 2\n0 1\n", "line 3: header announced 2 edges but 1 were given", 3),
+        # Every field and separator of the written layout, but a space in the wrong place.
+        ("3 \n1 0\n1", "line 1: expected header 'n m'", 1),
+        ("4 2\n0 \n1 2\n3", "line 2: expected edge line 'u v'", 2),
     ],
 )
 def test_parse_graph_error_messages(text, message, line_no):
@@ -326,11 +329,14 @@ def _random_edge_text(rng):
         edges.sort()
     m = len(edges) + (rng.choice([-1, 1]) if rng.random() < 0.1 else 0)  # maybe a wrong count
     rows = [[str(n), str(m)]] + [[str(u), str(v)] for u, v in edges]
+    unended = rng.random() < 0.15  # no newline after the last line
     for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
         if not rows:
             break
         roll = rng.random()
         row = rng.randrange(len(rows))
+        if not rows[row]:  # a field moved away emptied this line
+            continue
         if roll < 0.15 and len(rows) > 1:  # duplicate an edge line
             rows.insert(rng.randrange(1, len(rows) + 1), rows[rng.randrange(1, len(rows))])
         elif roll < 0.25 and len(rows) > 2:  # swap two edge lines out of order
@@ -341,12 +347,19 @@ def _random_edge_text(rng):
         elif roll < 0.55:  # a line with the wrong number of fields
             if row and rng.random() < 0.5:  # a field moved to the line before
                 rows[row - 1], rows[row] = rows[row - 1] + rows[row][:1], rows[row][1:]
-            else:
-                rows[row] = rows[row][:1] if rng.random() < 0.5 else rows[row] + ["0"]
-        elif roll < 0.65:  # an odd but maybe acceptable spelling of a number
+            else:  # one field, maybe keeping its space ("u " or " v"), or three
+                rows[row] = rng.choice(
+                    [rows[row][:1], rows[row][:1] + [""], [""] + rows[row][1:], rows[row] + ["0"]]
+                )
+        elif roll < 0.62:  # fields re-paired from this line on, one left alone with its space
+            rest = [field for r in rows[row:] for field in r]
+            alone = [rest[0], ""] if rng.random() < 0.5 else ["", rest[0]]
+            rows[row:] = [alone] + [rest[i : i + 2] for i in range(1, len(rest), 2)]
+            unended = True  # so that the text has as many separators as the written layout
+        elif roll < 0.7:  # an odd but maybe acceptable spelling of a number
             col = rng.randrange(len(rows[row]))
             rows[row][col] = rng.choice(_TOKENS).format(rows[row][col])
-        elif roll < 0.75:  # drop the body or the whole text
+        elif roll < 0.78:  # drop the body or the whole text
             rows = rows[:1] if rng.random() < 0.5 else []
         else:  # self-loop
             rows.insert(rng.randrange(1, len(rows) + 1), ["1", "1"])
@@ -358,7 +371,7 @@ def _random_edge_text(rng):
     if rng.random() < 0.1:
         lines = [" " + line + " " for line in lines]
     text = "".join(line + ("\n" if plain else rng.choice(_ENDINGS)) for line in lines)
-    return text[:-1] if lines and rng.random() < 0.15 else text
+    return text[:-1] if lines and unended else text
 
 
 def _fields(g):

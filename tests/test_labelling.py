@@ -202,9 +202,15 @@ def test_verify_by_colour_class_equals_a_scan_of_every_edge():
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit limit here"
 )
-def test_labels_past_the_digit_limit_round_trip_and_leave_the_limit_alone():
+def test_labels_past_the_digit_limit_round_trip_and_leave_the_limit_alone(monkeypatch):
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    set_limit = sys.set_int_max_str_digits
+    set_limit(640)
+
+    def global_to_the_interpreter(_):
+        raise AssertionError("the digit limit is shared by every thread")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", global_to_the_interpreter)
     try:
         labels = (1, 2**14299, 3)
         text = serialize_labelling(labels)
@@ -212,6 +218,17 @@ def test_labels_past_the_digit_limit_round_trip_and_leave_the_limit_alone():
         big = text.splitlines()[1].split()[1]
         assert len(big) == 4305
         assert parse_labelling(f"1, {big}, 3") == labels
+        assert parse_labelling(f"0 +{big}\n1 {big[:9]}_{big[9:]}\n") == labels[1:2] * 2
+        assert parse_labelling(f"-{big}, 2") == (-labels[1], 2)
+        # Past the limit, tokens int() would refuse are still refused.
+        for bad in ("1.0", "e3", "__1", "_", "+-1", "x"):
+            texts = [f"0 {big}{bad}\n", f"{big}{bad}, 1", f"0 {big[:9]}{bad * 2}{big[9:]}\n"]
+            for text in texts:
+                with pytest.raises(ParseError):
+                    parse_labelling(text)
+        with pytest.raises(ValueError, match=f"got -{big}$"):
+            induced_colouring(path_power(3, 1), (1, -labels[1], 2))
         assert sys.get_int_max_str_digits() == 640
     finally:
-        sys.set_int_max_str_digits(limit)
+        monkeypatch.undo()
+        set_limit(limit)
