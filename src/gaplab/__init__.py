@@ -9,7 +9,7 @@ labellings for complete graphs and powers of paths and cycles, and bounds
 how many edge removals make a complete graph labelable.
 """
 
-from .decide import DecisionResult, decide, decision_marks, naive_decide, vertex_gap_number
+from .decide import DecisionResult, decide, naive_decide, vertex_gap_number
 from .errors import (
     DomainError,
     GapLabError,
@@ -74,15 +74,14 @@ from .strength import (
     restricted_lb,
 )
 from .symmetry import (
-    are_isomorphic,
     automorphism_orbits,
-    cheap_invariant,
     degree_refinement,
     orbit_representatives,
 )
 from .transforms import (
     GolombRuler,
     PrimeWitness,
+    decision_marks,
     distinctify,
     erdos_turan_ruler,
     golomb_relabel,

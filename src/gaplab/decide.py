@@ -4,9 +4,9 @@ A graph is labelable iff some bijection from a fixed set of n "marks" to the
 vertices induces a proper colouring: any valid labelling can be made
 injective and then replaced, rank for rank, by shifted Golomb-ruler marks
 without breaking properness, so searching mark bijections is exhaustive.
-The marks are the first n Erdos-Turan marks for p = next_prime(n), shifted
-by 2p**2 so that degree-one colours (whole labels) can never collide with
-gap colours (mark differences).
+The marks, ``transforms.decision_marks(n)``, are the first n Erdos-Turan
+marks for p = next_prime(n), shifted by 2p**2 so that degree-one colours
+(whole labels) can never collide with gap colours (mark differences).
 
 The search places marks from the outside in (largest, smallest, second
 largest, ...), so every placed mark is a "top" mark, above all unplaced
@@ -29,7 +29,7 @@ from .errors import SearchBudgetExceeded, UnsupportedInputError
 from .graph import Graph, is_connected
 from .labelling import Labelling, is_gap_labelling
 from .symmetry import orbit_representatives
-from .transforms import erdos_turan_ruler, next_prime
+from .transforms import decision_marks
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,6 @@ class DecisionResult:
     labelable: bool
     witness: Labelling | None
     assignments_tried: int
-
-
-def decision_marks(n: int) -> tuple[int, ...]:
-    """The n shifted ruler marks the decision search assigns to vertices."""
-    p = next_prime(n).p
-    shift = 2 * p * p
-    return tuple(m + shift for m in erdos_turan_ruler(p).marks[:n])
 
 
 class _Searcher:

@@ -3,8 +3,8 @@
 How many edges must be deleted from K_n before some resulting graph admits
 a gap labelling?  Three attacks on that number live here:
 
-* exhaustive search for tiny n (4..6), deduplicating removal sets up to
-  isomorphism before deciding each candidate;
+* exhaustive search for tiny n (4..6): every removal set, by size, under
+  one fixed assignment of the decision marks (vertex i takes the i-th);
 * lower bounds by dynamic programming over decompositions: classify every
   vertex by adjacency to the extremal-labelled pair, charge the removals
   each class forces, and recurse.  Every recurrence has a convex kernel, so
@@ -26,11 +26,10 @@ from decimal import Decimal
 from itertools import combinations
 from math import isqrt
 
-from .decide import decide
 from .errors import UnsupportedInputError
 from .graph import Edge, Graph, complete_graph, remove_edges
-from .labelling import Labelling
-from .symmetry import are_isomorphic, cheap_invariant
+from .labelling import Labelling, is_gap_labelling
+from .transforms import decision_marks
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +54,8 @@ class Decomposition:
 
 def decompose(g: Graph, v_max: int, v_min: int, removed: tuple[Edge, ...] = ()) -> Decomposition:
     """Classify every other vertex by adjacency to v_max / v_min in g."""
+    if not (0 <= v_max < g.n and 0 <= v_min < g.n):
+        raise ValueError(f"extreme vertices must lie in 0..{g.n - 1}, got {v_max} and {v_min}")
     if v_max == v_min:
         raise ValueError("extreme vertices must differ")
     xs, ys, zs, eyes = set(), set(), set(), set()
@@ -275,23 +276,24 @@ def check_bounds(n_max: int) -> BoundCheck:
 def exact_strength(n: int) -> int:
     """Least number of removals that leaves some labelable graph, for n in 4..6.
 
-    Removal sets are enumerated by size; sets whose graphs are isomorphic to
-    an already-decided candidate are skipped (fingerprint buckets first, an
-    exact isomorphism check inside each bucket).
+    Returns the least |R| for which vertex i holding the i-th decision mark
+    is a gap labelling of K_n - R.  That is exact.  If K_n - R has any gap
+    labelling, ``distinctify`` and then the rank-preserving ruler marks turn
+    it into one that gives the vertex of rank i the i-th mark (the argument
+    ``decide`` rests on).  Every permutation of the vertices is an
+    automorphism of K_n, so renumbering the vertices by rank carries R to a
+    removal set R' of the same size under which vertex i holds the i-th mark.
+    For 4 <= n <= 6 the answer is below n - 1, and removing fewer than n - 1
+    edges cannot disconnect K_n, so no graph checked has an isolated vertex.
     """
     if not 4 <= n <= 6:
         raise UnsupportedInputError(f"exact strength supported for 4 <= n <= 6, got {n}")
     base = complete_graph(n)
+    marks = decision_marks(n)
     all_edges = sorted(base.edges)
     for size in range(1, len(all_edges) + 1):
-        buckets: dict[tuple, list[Graph]] = {}
         for combo in combinations(all_edges, size):
-            candidate = remove_edges(base, combo)
-            bucket = buckets.setdefault(cheap_invariant(candidate), [])
-            if any(are_isomorphic(candidate, seen) for seen in bucket):
-                continue
-            bucket.append(candidate)
-            if decide(candidate).labelable:
+            if is_gap_labelling(remove_edges(base, combo), marks)[0]:
                 return size
     raise RuntimeError("unreachable: removing all edges but a star is labelable")
 

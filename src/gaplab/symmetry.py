@@ -1,9 +1,8 @@
-"""Symmetry machinery for search pruning and duplicate filtering.
+"""Automorphism orbits and the stable colouring, for search pruning.
 
-One primitive serves orbits, isomorphism and the stable colouring: equitable
-refinement of an ordered partition, plus an individualise-and-refine search
-for structure-preserving maps (McKay & Piperno, "Practical graph isomorphism
-II", J. Symb. Comput. 60, 2014).
+One primitive serves both: equitable refinement of an ordered partition,
+plus an individualise-and-refine search for automorphisms (McKay & Piperno,
+"Practical graph isomorphism II", J. Symb. Comput. 60, 2014).
 
 * **Refinement.**  A partition is a vertex order cut into cells, each cell
   named by its start index in that order.  It is seeded with degree buckets
@@ -14,20 +13,20 @@ II", J. Symb. Comput. 60, 2014).
   is the coarsest equitable partition refining the seed, and the refinement
   returns a trace of its splits (start, counts, sizes) that does not depend
   on how the vertices are numbered.
-* **Search.**  To find a map g -> h (an isomorphism, or an automorphism with
-  r -> v), both partitions are refined in lock step: one vertex of a cell is
-  individualised on the g side, and each vertex of the same cell in turn on
-  the h side.  A branch whose two traces differ is pruned.  At every node
-  the position-wise map (cell-order position i on one side to position i on
-  the other) is tried as a candidate leaf before descending, and each
-  candidate is checked edge by edge.  The walk is an explicit stack.
+* **Search.**  To find an automorphism with r -> v, the partitions with r
+  and with v individualised are refined in lock step: one vertex of a cell
+  is individualised on the source side, and each vertex of the same cell in
+  turn on the target side.  A branch whose two traces differ is pruned.  At
+  every node the position-wise map (cell-order position i on one side to
+  position i on the other) is tried as a candidate leaf before descending,
+  and each candidate is checked edge by edge.  The walk is an explicit
+  stack.
 
-Nothing here computes a canonical form yet.
+Nothing here tests isomorphism between two graphs or computes a canonical
+form.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .graph import Graph
 
@@ -155,42 +154,43 @@ def _target_cell(size: list[int]) -> int:
 
 
 def _find_map(
-    g: Graph, h: Graph, h_sets: list[set[int]], pg: Partition, ph: Partition
+    g: Graph, g_sets: list[set[int]], source: Partition, target: Partition
 ) -> list[int] | None:
-    """Individualise-and-refine search for an edge-preserving bijection g -> h.
+    """Individualise-and-refine search for an automorphism of g, source -> target.
 
-    ``pg`` and ``ph`` are equitable partitions reached by equal traces; the
-    map found sends each cell of ``pg`` onto the cell of ``ph`` at the same
-    start.  Returns the map as a list, or None if none exists.
+    ``source`` and ``target`` are equitable partitions of g reached by equal
+    traces, and ``g_sets`` holds g's neighbour sets; the map found sends
+    each cell of ``source`` onto the cell of ``target`` at the same start.
+    Returns the map as a list, or None if none exists.
     """
-    g_adj, h_adj = g.adjacency, h.adjacency
-    # Explicit stack of branch points: [h partition, g child, its trace,
-    # h candidates, index of the next candidate].
+    adj = g.adjacency
+    # Explicit stack of branch points: [target partition, source child, its
+    # trace, target candidates, index of the next candidate].
     stack: list[list] = []
-    node: tuple[Partition, Partition] | None = (pg, ph)
+    node: tuple[Partition, Partition] | None = (source, target)
     while node is not None:
-        pg, ph = node
+        source, target = node
         mapping = [0] * g.n
-        for a, b in zip(pg[0], ph[0]):
+        for a, b in zip(source[0], target[0]):
             mapping[a] = b
         image = mapping.__getitem__
-        if all(h_sets[mapping[u]].issuperset(map(image, nbrs)) for u, nbrs in enumerate(g_adj)):
+        if all(g_sets[mapping[u]].issuperset(map(image, nbrs)) for u, nbrs in enumerate(adj)):
             return mapping
-        c = _target_cell(pg[2])
+        c = _target_cell(source[2])
         if c >= 0:
-            child, trace = _individualise(g_adj, pg, pg[0][c])
-            stack.append([ph, child, trace, ph[0][c : c + pg[2][c]], 0])
+            child, trace = _individualise(adj, source, source[0][c])
+            stack.append([target, child, trace, target[0][c : c + source[2][c]], 0])
         node = None
         while stack and node is None:
             frame = stack[-1]
-            ph, child, trace, candidates, i = frame
+            target, child, trace, candidates, i = frame
             if i == len(candidates):
                 stack.pop()
                 continue
             frame[4] = i + 1
-            h_child, h_trace = _individualise(h_adj, ph, candidates[i])
-            if h_trace == trace:
-                node = (child, h_child)
+            target_child, target_trace = _individualise(adj, target, candidates[i])
+            if target_trace == trace:
+                node = (child, target_child)
     return None
 
 
@@ -238,7 +238,7 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
                 if r not in pinned:
                     pinned[r] = _individualise(g.adjacency, base, r)
                 pr, tr = pinned[r]
-                auto = _find_map(g, g, g_sets, pr, pv) if tv == tr else None
+                auto = _find_map(g, g_sets, pr, pv) if tv == tr else None
                 if auto is not None:
                     for u, image in enumerate(auto):
                         ru, ri = find(u), find(image)
@@ -257,30 +257,3 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
 def orbit_representatives(g: Graph) -> tuple[int, ...]:
     """The least vertex of each automorphism orbit."""
     return tuple(orbit[0] for orbit in automorphism_orbits(g))
-
-
-def triangle_counts(g: Graph) -> tuple[int, ...]:
-    """Number of triangles through each vertex."""
-    return tuple(
-        sum(1 for a, b in combinations(g.adjacency[v], 2) if g.has_edge(a, b))
-        for v in range(g.n)
-    )
-
-
-def cheap_invariant(g: Graph) -> tuple:
-    """Isomorphism-invariant fingerprint: sorted degrees and triangle counts."""
-    return (
-        tuple(sorted(g.degree(v) for v in range(g.n))),
-        tuple(sorted(triangle_counts(g))),
-    )
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test by individualise-and-refine search."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    pg, tg = _equitable(g)
-    ph, th = _equitable(h)
-    if tg != th:
-        return False
-    return _find_map(g, h, [set(a) for a in h.adjacency], pg, ph) is not None

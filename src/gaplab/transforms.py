@@ -9,7 +9,9 @@ Three rank-based relabellings are provided:
 * ``golomb_relabel`` maps the vertex of rank i to the i-th mark of a Golomb
   ruler shifted by 2p**2, capping the largest label at O(n**2).  The shift
   keeps every degree-one colour (a full label, at least 2p**2) above every
-  gap colour (a mark difference, at most 2p**2 - p - 1).
+  gap colour (a mark difference, at most 2p**2 - p - 1).  These n marks are
+  ``decision_marks(n)``, which the decision search and the exact strength
+  check assign too.
 
 All three require a valid input labelling; the ruler and power-of-two maps
 additionally require distinct labels (apply ``distinctify`` first).
@@ -136,14 +138,19 @@ def power_two_relabel(g: Graph, labels) -> Labelling:
     return tuple(out)
 
 
+def decision_marks(n: int) -> tuple[int, ...]:
+    """The first n Erdos-Turan marks for p = next_prime(n), shifted by 2p^2."""
+    p = next_prime(n).p
+    shift = 2 * p * p
+    return tuple(m + shift for m in erdos_turan_ruler(p).marks[:n])
+
+
 def golomb_relabel(g: Graph, labels) -> Labelling:
-    """Send the vertex of rank i to mark a_i + 2p^2, with p = next_prime(n)."""
+    """Send the vertex of rank i to ``decision_marks(n)[i]``."""
     labels = _require_valid(g, labels)
     _require_distinct(labels)
-    p = next_prime(g.n).p
-    marks = erdos_turan_ruler(p).marks
-    shift = 2 * p * p
+    marks = decision_marks(g.n)
     out = [0] * g.n
     for rank, v in enumerate(_ranks(labels)):
-        out[v] = marks[rank] + shift
+        out[v] = marks[rank]
     return tuple(out)

@@ -1,6 +1,7 @@
 import hashlib
 from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -183,6 +184,21 @@ def test_exact_strength_of_k4():
     assert exact_strength(4) == 1
 
 
+def brute_force_strength(n):
+    """Every removal set by size, decided by the full search; no dedup."""
+    base = complete_graph(n)
+    edges = sorted(base.edges)
+    for size in range(1, len(edges) + 1):
+        for combo in combinations(edges, size):
+            if decide(remove_edges(base, combo)).labelable:
+                return size
+
+
+def test_exact_strength_matches_brute_force_search():
+    for n in (4, 5, 6):
+        assert exact_strength(n) == brute_force_strength(n)
+
+
 def test_exact_strength_rejects_out_of_range():
     with pytest.raises(UnsupportedInputError):
         exact_strength(3)
@@ -222,6 +238,11 @@ def test_decompose_classifies_by_extreme_adjacency():
     assert d.I == frozenset({2, 5})    # adjacent to both
     with pytest.raises(ValueError):
         decompose(g, 2, 2)
+    k4 = complete_graph(4)
+    with pytest.raises(ValueError):
+        decompose(k4, 7, 0)
+    with pytest.raises(ValueError):
+        decompose(k4, -1, 0)
 
 
 def test_construct_upper_smallest_case():
