@@ -11,7 +11,10 @@ a gap labelling?  Three attacks on that number live here:
   both tables take O(n log n) time;
 * an upper bound by explicit construction: repeatedly split off a small
   independent set and a detached "low" vertex, removing at most 3*n*sqrt(n)
-  edges in total, and label the result with powers of two.
+  edges in total, and label the result with powers of two.  One loop,
+  ``removal_schedule``, decides the rounds; the vertices left after each
+  round are a contiguous range, so its sets are ranges, and
+  ``construct_upper`` only labels them and lists the removed edges.
 
 All arithmetic is on integers, with no floating point anywhere: the bound
 checks compare integer powers, and the rendered power-law column is rounded
@@ -38,7 +41,7 @@ from .transforms import decision_marks
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Vertex classes relative to an extreme pair, plus the removal ledger.
+    """Vertex classes relative to an extreme pair.
 
     X touches only v_max, Y only v_min, I both, Z neither.
     """
@@ -49,10 +52,9 @@ class Decomposition:
     Y: frozenset[int]
     Z: frozenset[int]
     I: frozenset[int]
-    removed: tuple[Edge, ...]
 
 
-def decompose(g: Graph, v_max: int, v_min: int, removed: tuple[Edge, ...] = ()) -> Decomposition:
+def decompose(g: Graph, v_max: int, v_min: int) -> Decomposition:
     """Classify every other vertex by adjacency to v_max / v_min in g."""
     if not (0 <= v_max < g.n and 0 <= v_min < g.n):
         raise ValueError(f"extreme vertices must lie in 0..{g.n - 1}, got {v_max} and {v_min}")
@@ -73,7 +75,7 @@ def decompose(g: Graph, v_max: int, v_min: int, removed: tuple[Edge, ...] = ()) 
         else:
             zs.add(v)
     return Decomposition(
-        v_max, v_min, frozenset(xs), frozenset(ys), frozenset(zs), frozenset(eyes), removed
+        v_max, v_min, frozenset(xs), frozenset(ys), frozenset(zs), frozenset(eyes)
     )
 
 
@@ -304,14 +306,18 @@ def exact_strength(n: int) -> int:
 
 @dataclass(frozen=True)
 class RemovalStep:
-    """One round of the recursive split: sizes, the low vertex, and the sets."""
+    """One round of the recursive split: sizes, the low vertex, and the sets.
+
+    The round's vertices other than the hub are the contiguous range
+    low_vertex..n-1, so ``independent_set`` and ``tail`` are ranges.
+    """
 
     order: int  # n_j entering this round
     independent_size: int  # i_j
     tail_size: int  # x_j
     low_vertex: int
-    independent_set: tuple[int, ...]
-    tail: tuple[int, ...]
+    independent_set: range
+    tail: range
 
 
 @dataclass(frozen=True)
@@ -334,82 +340,60 @@ class UpperBoundConstruction:
         return self.plan.total_removed
 
 
-def _split_sizes(order: int) -> tuple[int, int]:
-    """(i_j, x_j) for a round entering with n_j = order.
-
-    i_j = floor(sqrt(n_j)) except when that would leave an empty tail
-    (n_j = 4), where one vertex moves from the independent part to the tail;
-    the removal count is unchanged and the final tail keeps 1 or 2 vertices.
-    """
-    i = isqrt(order)
-    x = order - i - 2
-    if x == 0:
-        i -= 1
-        x = order - i - 2
-    return i, x
-
-
 def removal_schedule(n: int) -> RemovalPlan:
-    """Sizes-only version of the construction: trace and total, no edges."""
+    """The rounds of the construction on K_n, the one place they are decided.
+
+    Round j enters with n_j vertices: the hub 0 and V_j, a contiguous range
+    start..n-1 (V_1 = 1..n-1).  It detaches the low vertex ``start``, makes
+    the next i_j = floor(sqrt(n_j)) vertices independent, and keeps the
+    x_j = n_j - i_j - 2 after them as the tail, removing x_j + binom(i_j, 2)
+    edges.  A tail of three or more is V_{j+1}, so n_{j+1} = x_j + 1;
+    otherwise the rounds stop.  Each step is built in O(1), its sets as
+    ranges.
+    """
     if n < 4:
         raise ValueError(f"construction needs n >= 4, got {n}")
     steps = []
-    order = n
     total = 0
+    start = 1
     while True:
-        i, x = _split_sizes(order)
-        steps.append(RemovalStep(order, i, x, -1, (), ()))
+        order = n - start + 1
+        # At n_j = 4, floor(sqrt) would leave an empty tail, so one vertex
+        # moves from the independent part to the tail; the removal count is
+        # unchanged and the final tail keeps 1 or 2 vertices.
+        i = isqrt(order) if order > 4 else 1
+        x = order - i - 2
+        cut = start + 1 + i
+        steps.append(RemovalStep(order, i, x, start, range(start + 1, cut), range(cut, n)))
         total += x + i * (i - 1) // 2
-        if x >= 3:
-            order = x + 1
-        else:
+        if x < 3:
             break
+        start = cut
     return RemovalPlan(tuple(steps), total)
 
 
 def construct_upper(n: int) -> UpperBoundConstruction:
-    """Run the recursive split on K_n and label the leftover graph.
+    """Label K_n minus the removals of ``removal_schedule(n)``.
 
-    Vertex 0 plays v_max and keeps 2^(n-1).  Round j detaches the lowest
-    remaining vertex (label 2^(j-1)) from the tail and empties an
-    independent set (labels 2^(n-2)); the final tail of one or two vertices
-    takes the next one or two powers of two.  The removed edges are exactly
-    the tail edges of each low vertex plus the inner edges of each
-    independent set.
+    Vertex 0 plays v_max and keeps 2^(n-1).  Round j's low vertex, detached
+    from the tail, takes 2^(j-1) and its independent set 2^(n-2); the final
+    tail of one or two vertices takes the next one or two powers of two.
+    The removed edges are exactly the tail edges of each low vertex plus the
+    inner edges of each independent set.
     """
-    if n < 4:
-        raise ValueError(f"construction needs n >= 4, got {n}")
+    plan = removal_schedule(n)
     labels = [0] * n
     labels[0] = 1 << (n - 1)
     removed: list[Edge] = []
-    steps: list[RemovalStep] = []
-    current = list(range(1, n))  # V_j, ascending
-    order = n
-    j = 0
-    while True:
-        j += 1
-        i, x = _split_sizes(order)
-        low = current[0]
-        independent = tuple(current[1 : 1 + i])
-        tail = tuple(current[1 + i :])
-        assert len(tail) == x
-        labels[low] = 1 << (j - 1)
-        for v in independent:
+    for j, step in enumerate(plan.steps):
+        low = step.low_vertex
+        labels[low] = 1 << j
+        for v in step.independent_set:
             labels[v] = 1 << (n - 2)
-        removed.extend((low, v) if low < v else (v, low) for v in tail)
-        removed.extend(
-            (a, b) for a, b in combinations(independent, 2)
-        )
-        steps.append(RemovalStep(order, i, x, low, independent, tail))
-        if x >= 3:
-            current = list(tail)
-            order = x + 1
-        else:
-            labels[tail[0]] = 1 << j
-            if x == 2:
-                labels[tail[1]] = 1 << (j + 1)
-            break
-    plan = RemovalPlan(tuple(steps), len(removed))
+        removed.extend((low, v) for v in step.tail)
+        removed.extend(combinations(step.independent_set, 2))
+    for j, v in enumerate(plan.steps[-1].tail, start=len(plan.steps)):
+        labels[v] = 1 << j
     return UpperBoundConstruction(tuple(sorted(removed)), tuple(labels), plan)
 
 

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .errors import InvalidLabellingError
 from .graph import Graph
-from .labelling import Labelling, is_gap_labelling, validate_labelling
+from .labelling import Labelling, is_gap_labelling
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def is_golomb_ruler(marks) -> bool:
 
 
 def _require_valid(g: Graph, labels) -> Labelling:
-    labels = validate_labelling(g, labels)
+    labels = tuple(labels)
     ok, report = is_gap_labelling(g, labels)
     if not ok:
         raise InvalidLabellingError(

@@ -2,6 +2,7 @@ import hashlib
 from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -305,6 +306,77 @@ def test_schedule_matches_full_construction():
     for n in (4, 9, 15, 40, 137):
         assert removal_schedule(n).trace() == construct_upper(n).plan.trace()
         assert removal_schedule(n).total_removed == construct_upper(n).total_removed
+
+
+# --- the two-loop construction the schedule-driven one replaced --------------
+
+
+def _split_sizes_two_loop(order):
+    i = isqrt(order)
+    x = order - i - 2
+    if x == 0:
+        i -= 1
+        x = order - i - 2
+    return i, x
+
+
+def construct_upper_two_loop(n):
+    """(removed, labelling, trace, total) from its own round loop and slicing."""
+    labels = [0] * n
+    labels[0] = 1 << (n - 1)
+    removed = []
+    trace = []
+    current = list(range(1, n))
+    order = n
+    j = 0
+    while True:
+        j += 1
+        i, x = _split_sizes_two_loop(order)
+        low = current[0]
+        independent = tuple(current[1 : 1 + i])
+        tail = tuple(current[1 + i :])
+        assert len(tail) == x
+        labels[low] = 1 << (j - 1)
+        for v in independent:
+            labels[v] = 1 << (n - 2)
+        removed.extend((low, v) if low < v else (v, low) for v in tail)
+        removed.extend(combinations(independent, 2))
+        trace.append((order, i, x))
+        if x >= 3:
+            current = list(tail)
+            order = x + 1
+        else:
+            labels[tail[0]] = 1 << j
+            if x == 2:
+                labels[tail[1]] = 1 << (j + 1)
+            break
+    return tuple(sorted(removed)), tuple(labels), tuple(trace), len(removed)
+
+
+def test_construction_matches_two_loop_oracle():
+    for n in range(4, 301):
+        built = construct_upper(n)
+        removed, labelling, trace, total = construct_upper_two_loop(n)
+        assert built.removed == removed, n
+        assert built.labelling == labelling, n
+        assert built.plan.trace() == trace, n
+        assert built.total_removed == total, n
+
+
+def test_schedule_sets_partition_the_non_hub_vertices():
+    for n in range(4, 201):
+        steps = removal_schedule(n).steps
+        order = []
+        for step in steps:
+            order.append(step.low_vertex)
+            order.extend(step.independent_set)
+            assert len(step.independent_set) == step.independent_size, n
+            assert len(step.tail) == step.tail_size, n
+        order.extend(steps[-1].tail)
+        assert order == list(range(1, n)), n
+        for this, following in zip(steps, steps[1:]):
+            rest = [following.low_vertex, *following.independent_set, *following.tail]
+            assert list(this.tail) == rest, n
 
 
 def test_schedule_respects_cubic_root_bound():
