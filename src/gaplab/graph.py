@@ -184,17 +184,21 @@ def _parse_whole(text: str) -> Graph | None:
 
     The layout: leading ``#`` comment lines, then "n m" and one "u v" line
     per edge, each two runs of decimal digits joined by one space and ended
-    by a newline (the last may lack it), with the edges in lexicographic
-    order.  On such text the line loop's checks are made on all edges at
-    once: range, by looking every endpoint up among the names of the
-    vertices 0..n-1; u < v; and strictly increasing keys u * n + v, which
-    rule out duplicates and leave the neighbour lists sorted.  None means
-    "not proved valid": the caller then runs the line loop, which accepts
-    or reports.
+    by "\\n" or "\\r\\n" (the last may lack it), with the edges in
+    lexicographic order.  On such text the line loop's checks are made on
+    all edges at once: range, by looking every endpoint up among the names
+    of the vertices 0..n-1; u < v; and strictly increasing keys u * n + v,
+    which rule out duplicates and leave the neighbour lists sorted.  None
+    means "not proved valid": the caller then runs the line loop, which
+    accepts or reports.
     """
     if not text.isascii():
         return None
     data = text.encode()
+    if b"\r" in data:
+        # str.splitlines ends a line once at "\r\n"; a lone "\r" left here
+        # fails the checks below.
+        data = data.replace(b"\r\n", b"\n")
     start = 0
     while data.startswith(b"#", start):
         start = data.find(b"\n", start) + 1

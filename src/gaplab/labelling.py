@@ -7,6 +7,13 @@ coloured with that neighbour's label.  The labelling is a gap labelling when
 the induced colouring is proper, i.e. no edge joins two equally coloured
 vertices.
 
+The colouring never reads a whole neighbourhood: it sorts the vertices by
+label once and walks that order from the top and from the bottom, and the
+first walked neighbour of a vertex holds its largest (smallest) neighbour
+label.  A walk reads every adjacency entry at most once and on dense graphs
+stops after a few vertices.  The check then compares only vertices of one
+colour, probing each colour class from its smaller side.
+
 Labels and colours are plain Python integers, so constructions that assign
 labels up to 2**(n-1) work unchanged for any n; the text I/O below reads and
 writes them past the interpreter's int <-> str digit limit without changing
@@ -53,6 +60,15 @@ def validate_labelling(g: Graph, labels) -> Labelling:
 def induced_colouring(g: Graph, labels) -> Colouring:
     """Colour every vertex by the gap rule.
 
+    The colours come from two walks over the vertices in label order.  The
+    walk from the top finds each vertex's first neighbour in that order,
+    which holds its largest neighbour label: one set intersection per walked
+    vertex w marks every still-unmarked neighbour of w, and the walk stops
+    once every vertex is marked.  The walk from the bottom finds the
+    smallest neighbour label the same way.  The cost is one sort, then at
+    most one read of every adjacency entry per walk; on dense graphs a few
+    walked vertices mark everyone.
+
     Raises UnsupportedInputError when the graph has an isolated vertex (the
     gap of an empty neighbourhood is undefined; single vertices and graphs
     with isolated vertices are out of scope).
@@ -60,26 +76,49 @@ def induced_colouring(g: Graph, labels) -> Colouring:
     labels = validate_labelling(g, labels)
     if g.n < 2:
         raise UnsupportedInputError("colouring needs at least two vertices")
-    label_of = labels.__getitem__
-    colours = []
-    for v, nbrs in enumerate(g.adjacency):
-        if not nbrs:
-            raise UnsupportedInputError(f"vertex {v} is isolated")
-        if len(nbrs) == 1:
-            colours.append(labels[nbrs[0]])
-        else:
-            values = list(map(label_of, nbrs))
-            colours.append(max(values) - min(values))
-    return tuple(colours)
+    adjacency = g.adjacency
+    if not all(adjacency):
+        isolated = next(v for v, nbrs in enumerate(adjacency) if not nbrs)
+        raise UnsupportedInputError(f"vertex {isolated} is isolated")
+    order = sorted(range(g.n), key=labels.__getitem__)
+    top = _first_neighbour_labels(adjacency, labels, reversed(order))
+    bottom = _first_neighbour_labels(adjacency, labels, order)
+    return tuple(
+        hi - lo if len(nbrs) > 1 else hi for hi, lo, nbrs in zip(top, bottom, adjacency)
+    )
+
+
+def _first_neighbour_labels(adjacency, labels: Labelling, order) -> list[int]:
+    """For every vertex v, the label of v's first neighbour in ``order``.
+
+    Exact because adjacency is symmetric: v is among w's neighbours exactly
+    when w is among v's, so the first walked w whose neighbours include v is
+    v's first neighbour in the walk order.  Every vertex needs a neighbour.
+    """
+    found = [0] * len(adjacency)
+    unmarked = set(range(len(adjacency)))
+    for w in order:
+        hit = unmarked.intersection(adjacency[w])
+        if hit:
+            unmarked -= hit
+            label = labels[w]
+            for v in hit:
+                found[v] = label
+            if not unmarked:
+                break
+    return found
 
 
 def is_gap_labelling(g: Graph, labels) -> tuple[bool, ConflictReport]:
     """True plus an empty report iff the induced colouring is proper.
 
-    Only vertices of one colour can conflict, so each colour class of two or
-    more vertices is intersected with its members' neighbourhoods.  The
-    report lists every conflicting edge in lexicographic order, not just the
-    first, so test failures show the whole picture.
+    Only vertices of one colour can conflict, so each member u of a colour
+    class of two or more vertices is checked against the rest of its class
+    from the smaller side: a class smaller than u's degree looks each later
+    member up in u's sorted neighbour tuple, and a larger one is intersected
+    with u's neighbours.  The report lists every conflicting edge in
+    lexicographic order, not just the first, so test failures show the
+    whole picture.
     """
     colours = induced_colouring(g, labels)
     classes: dict[int, list[int]] = {}
@@ -90,7 +129,11 @@ def is_gap_labelling(g: Graph, labels) -> tuple[bool, ConflictReport]:
         if len(members) > 1:
             same = set(members)
             for u in members:
-                conflicts.extend((u, w) for w in same.intersection(g.adjacency[u]) if u < w)
+                nbrs = g.adjacency[u]
+                if len(members) < len(nbrs):
+                    conflicts.extend((u, w) for w in members if u < w and g.has_edge(u, w))
+                else:
+                    conflicts.extend((u, w) for w in same.intersection(nbrs) if u < w)
     conflicts.sort()
     return not conflicts, ConflictReport(tuple(conflicts))
 

@@ -103,8 +103,11 @@ def _require_valid(g: Graph, labels) -> Labelling:
 
 
 def _ranks(labels: Labelling) -> list[int]:
-    """Vertices ordered by (label, vertex index); position = rank."""
-    return sorted(range(len(labels)), key=lambda v: (labels[v], v))
+    """Vertices ordered by (label, vertex index); position = rank.
+
+    The sort is stable over ascending vertex indices, so ties keep index order.
+    """
+    return sorted(range(len(labels)), key=labels.__getitem__)
 
 
 def distinctify(g: Graph, labels) -> Labelling:

@@ -404,3 +404,5 @@ def test_whole_text_path_reads_what_serialize_graph_writes():
         text = serialize_graph(g)
         assert graph_module._parse_whole(text) == g
         assert graph_module._parse_whole("# note\n#\n" + text.rstrip("\n")) == g
+        assert graph_module._parse_whole(text.replace("\n", "\r\n")) == g
+        assert graph_module._parse_whole("# note\r\n" + text.replace("\n", "\r\n", 1)) == g

@@ -1,11 +1,13 @@
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gaplab import (
+    ConflictReport,
     ParseError,
     UnsupportedInputError,
     complete_graph,
@@ -15,6 +17,7 @@ from gaplab import (
     parse_labelling,
     path_power,
     serialize_labelling,
+    validate_labelling,
 )
 
 
@@ -197,6 +200,78 @@ def test_verify_by_colour_class_equals_a_scan_of_every_edge():
             scan = tuple(sorted((u, v) for u, v in g.edges if colours[u] == colours[v]))
             ok, report = is_gap_labelling(g, labels)
             assert report.conflicts == scan and ok == (not scan), (case, labels)
+
+
+def _colouring_by_neighbour_scan(g, labels):
+    """The induced colouring read from every neighbour label of every vertex."""
+    labels = validate_labelling(g, labels)
+    if g.n < 2:
+        raise UnsupportedInputError("colouring needs at least two vertices")
+    colours = []
+    for v, nbrs in enumerate(g.adjacency):
+        if not nbrs:
+            raise UnsupportedInputError(f"vertex {v} is isolated")
+        values = [labels[w] for w in nbrs]
+        colours.append(values[0] if len(nbrs) == 1 else max(values) - min(values))
+    return tuple(colours)
+
+
+def _conflicts_by_intersecting_every_member(g, labels):
+    """The conflict report from intersecting each class member's neighbours."""
+    colours = _colouring_by_neighbour_scan(g, labels)
+    classes = {}
+    for v, c in enumerate(colours):
+        classes.setdefault(c, []).append(v)
+    conflicts = []
+    for members in classes.values():
+        same = set(members)
+        for u in members:
+            conflicts.extend((u, w) for w in same.intersection(g.adjacency[u]) if u < w)
+    return not conflicts, ConflictReport(tuple(sorted(conflicts)))
+
+
+def _outcome(fn, g, labels):
+    try:
+        return fn(g, labels)
+    except (ValueError, UnsupportedInputError) as exc:
+        return type(exc), str(exc)
+
+
+def test_label_order_walks_and_class_probes_equal_the_neighbour_scan():
+    rng = random.Random(11)
+    isolated = probed = intersected = 0
+    for n in range(2, 61):
+        for p in (0.05, 0.2, 0.5, 0.8, 0.98):
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            graphs = [graph_from_edges(n, edges)]
+            # Give each isolated vertex one random partner, so that both ends
+            # of such an edge may have degree one.
+            ends = {v for e in edges for v in e}
+            lonely = [v for v in range(n) if v not in ends]
+            if lonely:
+                isolated += 1
+                extra = {tuple(sorted((v, rng.choice([w for w in range(n) if w != v])))) for v in lonely}
+                graphs.append(graph_from_edges(n, set(edges) | extra))
+            for g in graphs:
+                for labels in (
+                    [1] * n,
+                    [rng.randint(1, 3) for _ in range(n)],
+                    rng.sample(range(1, 4 * n + 1), n),
+                    [1 << (3000 + rng.randrange(n)) for _ in range(n)],
+                ):
+                    colours = _outcome(induced_colouring, g, labels)
+                    assert colours == _outcome(_colouring_by_neighbour_scan, g, labels), (n, p, labels)
+                    report = _outcome(is_gap_labelling, g, labels)
+                    assert report == _outcome(_conflicts_by_intersecting_every_member, g, labels)
+                    if isinstance(report[1], ConflictReport):
+                        sizes = Counter(colours)
+                        for v in range(n):
+                            if sizes[colours[v]] > 1:
+                                if sizes[colours[v]] < g.degree(v):
+                                    probed += 1
+                                else:
+                                    intersected += 1
+    assert isolated > 50 and probed > 5000 and intersected > 10000
 
 
 @pytest.mark.skipif(

@@ -99,7 +99,7 @@ def test_distinctify_preserves_order_with_index_tie_break():
     g = cycle_power(6, 2)
     labels = (1, 2, 4, 1, 2, 4)
     out = distinctify(g, labels)
-    assert len(set(out)) == 6
+    assert out == (12, 26, 52, 13, 27, 53)  # label * 12 + rank; tied vertices rank by index
     ranks_in = sorted(range(6), key=lambda v: (labels[v], v))
     ranks_out = sorted(range(6), key=lambda v: out[v])
     assert ranks_in == ranks_out
