@@ -65,8 +65,6 @@ def _budget() -> int | None:
 
 def _family_spec(args) -> FamilySpec:
     family = _FAMILIES[args.family]
-    if family != COMPLETE and args.k is None:
-        raise GapLabError(f"--family {args.family} requires --k")
     return FamilySpec(family, args.n, None if family == COMPLETE else args.k)
 
 
@@ -211,8 +209,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.fn is _cmd_label and (args.family is None) == (args.graph is None):
         parser.error("label needs exactly one of --family or --graph")
-    if getattr(args, "family", None) is not None and getattr(args, "n", None) is None:
+    family = getattr(args, "family", None)
+    if family is not None and args.n is None:
         parser.error("--family requires --n")
+    if family is not None and _FAMILIES[family] != COMPLETE and args.k is None:
+        parser.error(f"--family {family} requires --k")
     try:
         return args.fn(args)
     except SearchBudgetExceeded as exc:

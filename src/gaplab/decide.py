@@ -16,14 +16,15 @@ neighbour's, so its colour is pinned, for good, once it has one of each (or
 once all its neighbours are placed).  Pins are kept per vertex and updated
 only at the neighbours of each placed vertex, so a search node costs
 O(degree), and dense graphs are refuted after a couple of placements.  The
-tree is walked with an explicit stack, so search depth is not bounded by
-the interpreter's recursion limit.  The first mark is only tried on one
-representative per automorphism orbit.
+search is one walk with an explicit stack, so its depth is not bounded by
+the interpreter's recursion limit; the stack's root frame tries the first
+mark on one vertex per automorphism orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import SearchBudgetExceeded, UnsupportedInputError
 from .graph import Graph, is_connected
@@ -39,8 +40,12 @@ class DecisionResult:
     assignments_tried: int
 
 
-class _Searcher:
+def _search(
+    g: Graph, firsts: Iterable[int], budget: int | None
+) -> tuple[Labelling | None, int]:
     """Depth-first mark assignment with early colour pinning.
+
+    Returns the witness (or None) and the number of search nodes entered.
 
     Marks go down outside-in, so every placed mark is either a "top" mark,
     above all unplaced ones, or a "bottom" mark, below all of them; even
@@ -67,86 +72,40 @@ class _Searcher:
     never move, so only a vertex pinned at this node can create a clash, and
     only those are checked against their neighbours.
 
-    The tree is walked with an explicit stack, so depth is not bounded by the
-    interpreter's recursion limit.  Children are tried in vertex order and
-    every node entered counts once in ``tried``.  One instance accumulates
-    ``tried`` across branches so that budgets span the whole decision, not a
-    single first-mark placement.
+    The stack holds one candidate iterator per depth: the root frame tries
+    ``firsts`` and every other frame the vertices in order, each yielding its
+    next unplaced vertex.  A frame below a clash is empty, and an exhausted
+    frame is popped and its node undone.  Every node entered counts once in
+    ``tried``, so a budget spans every first vertex.
     """
+    n, adj = g.n, g.adjacency
+    marks = decision_marks(n)
+    # Mark placed at each depth, outside-in: largest, smallest, ...
+    depth_marks = []
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        depth_marks.append(marks[hi])
+        if lo < hi:
+            depth_marks.append(marks[lo])
+        lo += 1
+        hi -= 1
+    label = [0] * n  # 0: unplaced; marks are positive
+    placed_nbrs = [0] * n
+    first_top = [0] * n
+    first_bottom = [0] * n
+    colour = [0] * n  # 0: not pinned; colours are positive
+    path: list[int] = []  # vertex placed at each depth
+    pins: list[list[int]] = []  # vertices pinned on entering each depth
+    stack = [iter(firsts)]  # candidates for the vertex at each depth
+    tried = 0
 
-    def __init__(self, g: Graph, marks: tuple[int, ...], budget: int | None = None):
-        self.n = g.n
-        self.adj = g.adjacency
-        self.budget = budget
-        self.tried = 0
-        # Mark placed at each depth, outside-in: largest, smallest, ...
-        order = []
-        lo, hi = 0, g.n - 1
-        while lo <= hi:
-            order.append(marks[hi])
-            if lo < hi:
-                order.append(marks[lo])
-            lo += 1
-            hi -= 1
-        self.depth_marks = order
-
-    def run(self, first_vertex: int) -> Labelling | None:
-        n, adj, depth_marks = self.n, self.adj, self.depth_marks
-        label = [0] * n  # 0: unplaced; marks are positive
-        placed_nbrs = [0] * n
-        first_top = [0] * n
-        first_bottom = [0] * n
-        colour = [0] * n  # 0: not pinned; colours are positive
-        path: list[int] = []  # vertex placed at each depth
-        pins: list[list[int]] = []  # vertices pinned on entering each depth
-        next_cand: list[int] = []  # next child to try below each depth
-
-        v = first_vertex
-        while True:
-            self.tried += 1
-            if self.budget is not None and self.tried > self.budget:
-                raise SearchBudgetExceeded(self.tried, self.budget)
-            depth = len(path)
-            m = depth_marks[depth]
-            top = depth % 2 == 0
-            label[v] = m
-            pinned = []
-            for u in adj[v]:
-                placed_nbrs[u] += 1
-                if top:
-                    if not first_top[u]:
-                        first_top[u] = m
-                elif not first_bottom[u]:
-                    first_bottom[u] = m
-                if colour[u]:
-                    continue
-                deg = len(adj[u])
-                if deg == 1:
-                    colour[u] = m
-                elif first_top[u] and first_bottom[u]:
-                    colour[u] = first_top[u] - first_bottom[u]
-                elif placed_nbrs[u] == deg:
-                    colour[u] = first_top[u] - m if top else m - first_bottom[u]
-                else:
-                    continue
-                pinned.append(u)
-            path.append(v)
-            pins.append(pinned)
-            clash = any(colour[w] == colour[u] for u in pinned for w in adj[u])
-            if not clash and depth + 1 == n:
-                return tuple(label)
-            next_cand.append(n if clash else 0)
-
-            # Move to the next untried child, undoing exhausted nodes.
-            while path:
-                c = next_cand[-1]
-                while c < n and label[c]:
-                    c += 1
-                if c < n:
-                    next_cand[-1] = c + 1
-                    v = c
-                    break
-                next_cand.pop()
+    while stack:
+        for v in stack[-1]:
+            if not label[v]:
+                break
+        else:
+            stack.pop()
+            if path:
                 for u in pins.pop():
                     colour[u] = 0
                 done = path.pop()
@@ -160,8 +119,42 @@ class _Searcher:
                             first_top[u] = 0
                     elif first_bottom[u] == m:
                         first_bottom[u] = 0
+            continue
+
+        tried += 1
+        if budget is not None and tried > budget:
+            raise SearchBudgetExceeded(tried, budget)
+        depth = len(path)
+        m = depth_marks[depth]
+        top = depth % 2 == 0
+        label[v] = m
+        pinned = []
+        for u in adj[v]:
+            placed_nbrs[u] += 1
+            if top:
+                if not first_top[u]:
+                    first_top[u] = m
+            elif not first_bottom[u]:
+                first_bottom[u] = m
+            if colour[u]:
+                continue
+            deg = len(adj[u])
+            if deg == 1:
+                colour[u] = m
+            elif first_top[u] and first_bottom[u]:
+                colour[u] = first_top[u] - first_bottom[u]
+            elif placed_nbrs[u] == deg:
+                colour[u] = first_top[u] - m if top else m - first_bottom[u]
             else:
-                return None
+                continue
+            pinned.append(u)
+        path.append(v)
+        pins.append(pinned)
+        clash = any(colour[w] == colour[u] for u in pinned for w in adj[u])
+        if not clash and depth + 1 == n:
+            return tuple(label), tried
+        stack.append(iter(() if clash else range(n)))
+    return None, tried
 
 
 def _require_searchable(g: Graph) -> None:
@@ -175,17 +168,12 @@ def decide(g: Graph, *, budget: int | None = None) -> DecisionResult:
     """Decide gap-vertex-labelability; returns a witness if one exists.
 
     The witness is the mark labelling the search completed.  The pinning rule
-    is exact (see ``_Searcher``), so the witness is a gap-vertex-labelling by
+    is exact (see ``_search``), so the witness is a gap-vertex-labelling by
     construction; ``is_gap_labelling`` is the independent check.
     """
     _require_searchable(g)
-    reps = orbit_representatives(g)
-    searcher = _Searcher(g, decision_marks(g.n), budget=budget)
-    for rep in reps:
-        witness = searcher.run(rep)
-        if witness is not None:
-            return DecisionResult(True, witness, searcher.tried)
-    return DecisionResult(False, None, searcher.tried)
+    witness, tried = _search(g, orbit_representatives(g), budget)
+    return DecisionResult(witness is not None, witness, tried)
 
 
 def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int | None:

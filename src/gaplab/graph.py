@@ -48,9 +48,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self.adjacency)) // 2
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

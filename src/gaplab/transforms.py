@@ -46,10 +46,6 @@ class GolombRuler:
     def order(self) -> int:
         return len(self.marks)
 
-    @property
-    def length(self) -> int:
-        return self.marks[-1] - self.marks[0]
-
 
 def is_prime(p: int) -> bool:
     if p < 2:

@@ -167,10 +167,12 @@ def test_strength_exact_out_of_range(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "complete"],
+    ["gen", "--family", "path-power", "--n", "5"],
+    ["label", "--family", "cycle-power", "--n", "9"],
     ["decide", "--graph", "F", "--workers", "2"],
     ["label", "--graph", "F", "--workers", "2"],
     ["strength-lb", "--nmax", "6", "--format", "csv"],
-], ids=["gen-missing-n", "decide-workers", "label-workers", "strength-lb-format"])
+], ids=["gen-missing-n", "gen-missing-k", "label-missing-k", "decide-workers", "label-workers", "strength-lb-format"])
 def test_usage_error_exits_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -205,6 +205,34 @@ def test_budget_is_enforced_and_reported():
     assert exc.value.tried == 4
 
 
+def test_budget_spans_every_first_vertex():
+    # The least budget that does not run out is the node count of the whole
+    # decision, across every orbit representative the root tries.
+    rng = random.Random(31)
+    graphs = [outlier_graph()]
+    graphs += [
+        random_connected(rng, rng.randint(6, 10), rng.choice((0.3, 0.45, 0.7)))
+        for _ in range(24)
+    ]
+    saw_no = saw_late_yes = False
+    for g in graphs:
+        reps = orbit_representatives(g)
+        if len(reps) < 2:
+            continue
+        result = decide(g)
+        t = result.assignments_tried
+        assert decide(g, budget=t) == result
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            decide(g, budget=t - 1)
+        assert exc.value.tried == t
+        if result.labelable:
+            # the first vertex placed holds the largest mark
+            saw_late_yes |= result.witness.index(max(result.witness)) != reps[0]
+        else:
+            saw_no = True
+    assert saw_no and saw_late_yes
+
+
 def test_rejects_disconnected_and_trivial_inputs():
     with pytest.raises(UnsupportedInputError):
         decide(graph_from_edges(4, [(0, 1), (2, 3)]))
