@@ -7,8 +7,8 @@ a gap labelling?  Three attacks on that number live here:
   one fixed assignment of the decision marks (vertex i takes the i-th);
 * lower bounds by dynamic programming over decompositions: classify every
   vertex by adjacency to the extremal-labelled pair, charge the removals
-  each class forces, and recurse.  Every recurrence has a convex kernel, so
-  both tables take O(n log n) time;
+  each class forces, and recurse.  Every recurrence convolves convex
+  sequences, so both tables are merges of slopes and take O(n) time;
 * an upper bound by explicit construction: repeatedly split off a small
   independent set and a detached "low" vertex, removing at most 3*n*sqrt(n)
   edges in total, and label the result with powers of two.  One loop,
@@ -23,7 +23,6 @@ with an integer fifth root and only then written as a Decimal.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import combinations
@@ -83,49 +82,24 @@ def decompose(g: Graph, v_max: int, v_min: int) -> Decomposition:
 # lower bounds
 
 
-def _convex_table(n_max: int, first: int, gap: int, lead, kernel) -> list[int]:
-    """T[0..n_max] with T[j] = 0 for j <= 3 and, for j >= 4,
+def _merge_slopes(table: list[int], count: int, left, right) -> None:
+    """Extend ``table`` by ``count`` values.
 
-        T[j] = min over first <= i <= j - gap of lead(i, T[i]) + kernel[j - gap - i].
-
-    ``kernel`` must be convex.  Then for candidates b < c the excess of c's
-    term over b's changes, as j grows by one, by
-    (kernel[k_c + 1] - kernel[k_c]) - (kernel[k_b + 1] - kernel[k_b]) <= 0,
-    where k_c = j - gap - c < k_b = j - gap - b; so once a later candidate
-    ties an earlier one it wins for every larger j.  The candidates that can
-    still win sit in a deque, each owning an interval of j, and a new one
-    takes over from the point binary search finds (the convex 1D/1D method of
-    Galil & Park, "Dynamic programming with convexity, concavity and
-    sparsity", TCS 92, 1992).  Exact for any ``lead``, in O(n_max log n_max).
+    Each new value is the last one plus the smaller of the next unused slopes
+    ``left(a)`` and ``right(b)``, ties going to ``left``; ``left`` may read
+    values already in ``table``.  When both slope sequences are
+    nondecreasing, this is the min-plus convolution of the two sequences they
+    belong to, and ``a`` is the argmin's position in the left one.
     """
-    table = [0] * (n_max + 1)
-    live: deque[tuple[int, int, int]] = deque()  # (i, lead value, first j it owns)
-    nxt = first
-    for j in range(4, n_max + 1):
-        while nxt <= j - gap:
-            c, dc = nxt, lead(nxt, table[nxt])
-            nxt += 1
-            start = j
-            while live:
-                b, db, owned_from = live[-1]
-                lo, hi = j, n_max + 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if dc + kernel[mid - gap - c] <= db + kernel[mid - gap - b]:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                if lo > owned_from:
-                    start = lo
-                    break
-                live.pop()
-            if start <= n_max:
-                live.append((c, dc, start))
-        while len(live) > 1 and live[1][2] <= j:
-            live.popleft()
-        i, di, _ = live[0]
-        table[j] = di + kernel[j - gap - i]
-    return table
+    a = b = 0
+    for _ in range(count):
+        da, db = left(a), right(b)
+        if da <= db:
+            table.append(table[-1] + da)
+            a += 1
+        else:
+            table.append(table[-1] + db)
+            b += 1
 
 
 def restricted_lb(n_max: int) -> tuple[int, ...]:
@@ -136,21 +110,21 @@ def restricted_lb(n_max: int) -> tuple[int, ...]:
     complete graph they form with the top vertex) and an independent part of
     n-2-x (all its inner edges removed).  With i = x+1 that reads
 
-        l'(n) = min over 1 <= i <= n-1 of (i - 1 + l'(i)) + binom(n-1-i, 2),
+        l'(n) = min over 1 <= i <= n-1 of (i - 1 + l'(i)) + binom(n-1-i, 2).
 
-    and binom(k, 2) is convex in k, its increments being k, so
-    ``_convex_table`` computes it exactly.
-
-    l' is itself convex.  The formula gives 0 at n = 2 and 3 too, so l' on
-    2..n is a prefix of the min-plus convolution of i - 1 + l'(i) on 1..n-1
-    with binom(d-1, 2) on d >= 1.  If l' is convex on 1..n-1, both are
-    convex, so their convolution is too (its slopes are the merged slopes of
-    the two); as l'(2) - l'(1) = 0 <= l'(3) - l'(2), l' is convex on 1..n.
+    l' is convex.  The formula gives 0 at n = 2 and 3 too, so l' on 2..n is
+    a prefix of the min-plus convolution of i - 1 + l'(i) on 1..n-1 with
+    binom(d-1, 2) on d >= 1.  If l' is convex on 1..n-1, both are convex, so
+    their convolution is too (its slopes are the merged slopes of the two);
+    as l'(2) - l'(1) = 0 <= l'(3) - l'(2), l' is convex on 1..n.  So each
+    l'(n) is l'(n-1) plus the next of the merged slopes 1 + l'(a+2) - l'(a+1)
+    and binom's 0, 1, 2, ...  Exact, in O(n_max).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    binom2 = [k * (k - 1) // 2 for k in range(n_max + 1)]
-    return tuple(_convex_table(n_max, 1, 1, lambda i, t: i - 1 + t, binom2))
+    lp = [0, 0, 0]
+    _merge_slopes(lp, n_max - 2, lambda a: 1 + lp[a + 2] - lp[a + 1], lambda b: b)
+    return tuple(lp[: n_max + 1])
 
 
 def _general_lb(lp: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,19 +139,18 @@ def _general_lb(lp: tuple[int, ...]) -> tuple[int, ...]:
             raise RuntimeError(f"l' is not convex: l'(n-1) + l'(n+1) < 2 l'(n) at n = {x + 1}")
     # For convex cost_one, cost_one[x] + cost_one[s - x] is least at x = s // 2.
     best_xy = [cost_one[s // 2] + cost_one[s - s // 2] for s in range(size)]
-    # Min-plus convolution with binom(i, 2): merge the two nondecreasing slope
-    # sequences, best_xy's and binom's 0, 1, 2, ...
+    # Min-plus convolution with binom(i, 2): merge best_xy's slopes with
+    # binom's 0, 1, 2, ...
     best_xyi = [best_xy[0]]
-    taken = binom_slope = 0
-    for _ in range(size - 1):
-        xy_slope = best_xy[taken + 1] - best_xy[taken]
-        if xy_slope <= binom_slope:
-            best_xyi.append(best_xyi[-1] + xy_slope)
-            taken += 1
-        else:
-            best_xyi.append(best_xyi[-1] + binom_slope)
-            binom_slope += 1
-    return tuple(_convex_table(n_max, 0, 2, lambda z, t: 2 * z + t, best_xyi))
+    _merge_slopes(best_xyi, size - 1, lambda a: best_xy[a + 1] - best_xy[a], lambda b: b)
+    general = [0, 0, best_xyi[0]]
+    _merge_slopes(
+        general,
+        n_max - 2,
+        lambda a: 2 + general[a + 1] - general[a],
+        lambda b: best_xyi[b + 1] - best_xyi[b],
+    )
+    return tuple(general)
 
 
 def general_lb(n_max: int) -> tuple[int, ...]:
@@ -194,10 +167,15 @@ def general_lb(n_max: int) -> tuple[int, ...]:
       the first n where it fails), so the even split x = s // 2 attains it.
     * best_xyi[s], the least binom(i,2) + best_xy[s-i], convolves two convex
       sequences, so it is the merge of their slopes and is convex itself.
-    * L(n) = min over z of 2z + L(z) + best_xyi[n-2-z] then has a convex
-      kernel and goes through ``_convex_table`` like l'.
+    * L(n) = min over z of 2z + L(z) + best_xyi[n-2-z] is convex by the
+      induction used for l'.  The formula gives 0 at n = 2 and 3, so L on
+      2..n is a prefix of the min-plus convolution of 2z + L(z) with
+      best_xyi.  If L is convex on 0..n-2, both sequences are convex, so
+      their convolution is too, and as L(0) = ... = L(3) = 0, L is convex on
+      0..n.  So L is a merge of slopes as well: 2 + L(a+1) - L(a) and
+      best_xyi's.
 
-    Exact, in O(n_max log n_max).
+    Exact, in O(n_max).
     """
     return _general_lb(restricted_lb(n_max))
 
@@ -233,6 +211,8 @@ def power_law_column(n_max: int) -> tuple[Decimal, ...]:
     arithmetic is on integers, and each Decimal is built from r's digits with
     exponent -4, so no decimal context is read or changed.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     out = []
     for n in range(n_max + 1):
         m = 300**5 * n**6

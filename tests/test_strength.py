@@ -26,7 +26,7 @@ from gaplab import (
     parse_graph,
     restricted_lb,
 )
-from gaplab.strength import _convex_table, _general_lb
+from gaplab.strength import _general_lb, _merge_slopes, power_law_column
 
 
 # --- reference recurrences, written independently of the table builders ----
@@ -57,7 +57,7 @@ def general_reference(n_max):
     return table
 
 
-# --- the quadratic table builders the convex O(n log n) ones replaced --------
+# --- quadratic table builders, the oracle for the slope merges ---------------
 
 
 def restricted_lb_quadratic(n_max):
@@ -98,29 +98,26 @@ def test_tables_match_quadratic_builders_at_1000():
     assert general_lb(1000) == general_lb_quadratic(1000)
 
 
-def test_convex_table_matches_brute_force_for_any_lead():
+def test_merge_slopes_is_the_min_plus_convolution_of_convex_sequences():
     import random
 
     rng = random.Random(1)
+
+    def convex(length):
+        # Few distinct slopes, so negative and equal slopes are common.
+        values = [rng.randint(-50, 50)]
+        for slope in sorted(rng.randint(-6, 6) for _ in range(length - 1)):
+            values.append(values[-1] + slope)
+        return values
+
     for _ in range(400):
-        n_max = rng.randint(0, 40)
-        gap = rng.randint(1, 3)
-        first = rng.randint(0, 4 - gap)
-        slopes = sorted(rng.randint(-20, 20) for _ in range(n_max + 1))
-        kernel = [rng.randint(-50, 50)]
-        for slope in slopes:
-            kernel.append(kernel[-1] + slope)
-        noise = [rng.randint(-30, 30) for _ in range(n_max + 1)]
-
-        def lead(i, t):
-            return 2 * i + t + noise[i]
-
-        expected = [0] * (n_max + 1)
-        for j in range(4, n_max + 1):
-            expected[j] = min(
-                lead(i, expected[i]) + kernel[j - gap - i] for i in range(first, j - gap + 1)
-            )
-        assert _convex_table(n_max, first, gap, lead, kernel) == expected
+        f = convex(rng.randint(1, 30))
+        g = convex(rng.randint(1, 30))
+        count = rng.randint(0, min(len(f), len(g)) - 1)
+        expected = [min(f[i] + g[m - i] for i in range(m + 1)) for m in range(count + 1)]
+        table = [f[0] + g[0]]
+        _merge_slopes(table, count, lambda a: f[a + 1] - f[a], lambda b: g[b + 1] - g[b])
+        assert table == expected, (f, g, count)
 
 
 def test_general_table_rejects_a_nonconvex_lprime():
@@ -429,9 +426,12 @@ def test_omega_column_has_four_decimals():
     assert all(str(x).split(".")[1].__len__() == 4 for x in tables.omega[4:])
 
 
-def test_power_law_column_leaves_caller_precision_alone():
-    from gaplab.strength import power_law_column
+def test_power_law_column_rejects_a_negative_n_max():
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        power_law_column(-1)
 
+
+def test_power_law_column_leaves_caller_precision_alone():
     with localcontext() as ctx:
         ctx.prec = 17
         column = power_law_column(2000)
