@@ -29,14 +29,14 @@ powers = power_two_relabel(g, made_distinct)
 print("powers of two:   ", powers, "max:", max(powers))
 
 ruler_labels = golomb_relabel(g, made_distinct)
-p = next_prime(g.n).p
+p = next_prime(g.n)
 print("ruler relabelled:", ruler_labels, "max:", max(ruler_labels), "cap:", 4 * p * p)
 print("colours:", induced_colouring(g, ruler_labels))
 print()
 
 # The ruler behind the last step: marks whose pairwise differences are all
 # distinct, which is exactly why adjacent gap colours cannot collide.
-ruler = erdos_turan_ruler(p)
-print(f"ruler for p={p}:", ruler.marks)
-diffs = sorted(b - a for i, a in enumerate(ruler.marks) for b in ruler.marks[i + 1:])
+marks = erdos_turan_ruler(p)
+print(f"ruler for p={p}:", marks)
+diffs = sorted(b - a for i, a in enumerate(marks) for b in marks[i + 1:])
 print("all differences distinct:", len(diffs) == len(set(diffs)))

@@ -29,6 +29,7 @@ from .families import (
     construct_complete_labelling,
     construct_cycle_power_labelling,
     construct_path_power_labelling,
+    family_labelling,
     labelable_complete,
     labelable_cycle_power,
     labelable_path_power,
@@ -58,14 +59,12 @@ from .labelling import (
 from .strength import (
     BoundCheck,
     Decomposition,
-    DpTables,
     RemovalPlan,
     RemovalStep,
     UpperBoundConstruction,
     check_bounds,
     construct_upper,
     decompose,
-    dp_tables,
     emit_tables,
     exact_strength,
     general_lb,
@@ -79,8 +78,6 @@ from .symmetry import (
     orbit_representatives,
 )
 from .transforms import (
-    GolombRuler,
-    PrimeWitness,
     decision_marks,
     distinctify,
     erdos_turan_ruler,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (and, for verify, a valid labelling); 1 domain or
-input errors; 2 usage errors; 3 search budget exhausted (the budget comes
-from the GAPLAB_SEARCH_BUDGET environment variable).
+input errors, or out of memory; 2 usage errors; 3 search budget exhausted
+(the budget comes from the GAPLAB_SEARCH_BUDGET environment variable).
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from .families import (
     PATH_POWER,
     FamilySpec,
     build_family,
-    construct_complete_labelling,
-    construct_cycle_power_labelling,
-    construct_path_power_labelling,
+    family_labelling,
 )
 from .graph import parse_graph, serialize_graph
 from .labelling import is_gap_labelling, parse_labelling, serialize_labelling
@@ -31,8 +29,6 @@ from .strength import (
     exact_strength,
     removed_edge_ledger,
 )
-
-_FAMILIES = {"complete": COMPLETE, "path-power": PATH_POWER, "cycle-power": CYCLE_POWER}
 
 
 def _read(path: str) -> str:
@@ -64,16 +60,7 @@ def _budget() -> int | None:
 
 
 def _family_spec(args) -> FamilySpec:
-    family = _FAMILIES[args.family]
-    return FamilySpec(family, args.n, None if family == COMPLETE else args.k)
-
-
-def _family_labelling(spec: FamilySpec):
-    if spec.family == COMPLETE:
-        return construct_complete_labelling(spec.n)
-    if spec.family == PATH_POWER:
-        return construct_path_power_labelling(spec.n, spec.k)
-    return construct_cycle_power_labelling(spec.n, spec.k)
+    return FamilySpec(args.family, args.n, None if args.family == COMPLETE else args.k)
 
 
 def _cmd_gen(args) -> int:
@@ -83,7 +70,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_label(args) -> int:
     if args.family is not None:
-        labels = _family_labelling(_family_spec(args))
+        labels = family_labelling(_family_spec(args))
     else:
         g = parse_graph(_read(args.graph))
         result = decide(g, budget=_budget())
@@ -158,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family_flags(p, *, family_required: bool):
         p.add_argument(
-            "--family", choices=sorted(_FAMILIES), required=family_required
+            "--family", choices=(COMPLETE, CYCLE_POWER, PATH_POWER), required=family_required
         )
         p.add_argument("--n", type=int, required=family_required)
         p.add_argument("--k", type=int)
@@ -212,7 +199,7 @@ def main(argv=None) -> int:
     family = getattr(args, "family", None)
     if family is not None and args.n is None:
         parser.error("--family requires --n")
-    if family is not None and _FAMILIES[family] != COMPLETE and args.k is None:
+    if family is not None and family != COMPLETE and args.k is None:
         parser.error(f"--family {family} requires --k")
     try:
         return args.fn(args)
@@ -221,6 +208,9 @@ def main(argv=None) -> int:
         return 3
     except (GapLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,10 @@ other.
 For the non-labelable members, ``refute_witness`` turns the impossibility
 argument into checkable data: wherever the largest and smallest labels sit,
 two adjacent vertices see both of them and are forced to share a colour.
+
+One table at the bottom of the module maps each family name to its
+generator, predicate and labelling; ``build_family``, ``family_labelling``
+and ``refute_witness`` all dispatch through it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .graph import Graph, complete_graph, cycle_power, path_power
 from .labelling import Labelling
 
 COMPLETE = "complete"
-PATH_POWER = "path_power"
-CYCLE_POWER = "cycle_power"
+PATH_POWER = "path-power"
+CYCLE_POWER = "cycle-power"
 
 
 @dataclass(frozen=True)
@@ -33,18 +37,33 @@ class FamilySpec:
     k: int | None = None
 
     def __post_init__(self):
-        if self.family not in (COMPLETE, PATH_POWER, CYCLE_POWER):
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family != COMPLETE and self.k is None:
             raise ValueError(f"{self.family} needs a power k")
 
 
+_GENERATOR, _PREDICATE, _LABELLING = range(3)  # the columns of ``_FAMILIES``
+
+
+def _call(spec: FamilySpec, column: int):
+    """Call the function in ``column`` of the spec's row on (n,) or (n, k).
+
+    The function is looked up by name in this module's globals, so a wrapper
+    installed on the module attribute (as perfbench's tracer does) is the one
+    called.
+    """
+    fn = globals()[_FAMILIES[spec.family][column].__name__]
+    return fn(spec.n) if spec.family == COMPLETE else fn(spec.n, spec.k)
+
+
 def build_family(spec: FamilySpec) -> Graph:
-    if spec.family == COMPLETE:
-        return complete_graph(spec.n)
-    if spec.family == PATH_POWER:
-        return path_power(spec.n, spec.k)
-    return cycle_power(spec.n, spec.k)
+    return _call(spec, _GENERATOR)
+
+
+def family_labelling(spec: FamilySpec) -> Labelling:
+    """The family's explicit labelling; DomainError if the member has none."""
+    return _call(spec, _LABELLING)
 
 
 def labelable_complete(n: int) -> bool:
@@ -112,14 +131,6 @@ class ConflictEvidence:
         return len(self.pairs) == n * (n - 1)
 
 
-def _family_is_labelable(spec: FamilySpec) -> bool:
-    if spec.family == COMPLETE:
-        return labelable_complete(spec.n)
-    if spec.family == PATH_POWER:
-        return labelable_path_power(spec.n, spec.k)
-    return labelable_cycle_power(spec.n, spec.k)
-
-
 def refute_witness(spec: FamilySpec) -> ConflictEvidence:
     """Exhaustive conflict evidence for a non-labelable family member.
 
@@ -127,7 +138,7 @@ def refute_witness(spec: FamilySpec) -> ConflictEvidence:
     placement admits no conflict pair (which would mean this certificate
     style cannot refute the graph; the covered families never hit it).
     """
-    if _family_is_labelable(spec):
+    if _call(spec, _PREDICATE):
         raise DomainError(f"{spec} is labelable; nothing to refute")
     g = build_family(spec)
     nbr_sets = [set(g.adjacency[v]) for v in range(g.n)]
@@ -152,3 +163,12 @@ def refute_witness(spec: FamilySpec) -> ConflictEvidence:
                 )
             pairs[(a, b)] = found
     return ConflictEvidence(spec=spec, pairs=pairs)
+
+
+# family -> (generator, predicate, labelling), each taking (n,) for the
+# complete family and (n, k) otherwise.
+_FAMILIES = {
+    COMPLETE: (complete_graph, labelable_complete, construct_complete_labelling),
+    PATH_POWER: (path_power, labelable_path_power, construct_path_power_labelling),
+    CYCLE_POWER: (cycle_power, labelable_cycle_power, construct_cycle_power_labelling),
+}

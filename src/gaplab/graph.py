@@ -110,14 +110,15 @@ def cycle_power(n: int, k: int) -> Graph:
         raise ValueError(f"cycle power needs n >= 3, got {n}")
     if k < 1:
         raise ValueError(f"cycle power needs k >= 1, got {k}")
+    # Each vertex u meets u + d (mod n) for d = 1..min(k, n // 2); the set
+    # drops the pairs met from both ends, at d = n / 2 for even n.
     return _build(
         n,
-        (
-            (u, v)
+        {
+            (u, u + d) if u + d < n else (u + d - n, u)
+            for d in range(1, min(k, n // 2) + 1)
             for u in range(n)
-            for v in range(u + 1, n)
-            if min(v - u, n - (v - u)) <= k
-        ),
+        },
     )
 
 

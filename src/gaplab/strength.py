@@ -180,15 +180,6 @@ def general_lb(n_max: int) -> tuple[int, ...]:
     return _general_lb(restricted_lb(n_max))
 
 
-@dataclass(frozen=True)
-class DpTables:
-    """Aligned-by-n bound tables plus the rendered power-law column."""
-
-    lprime: tuple[int, ...]
-    general: tuple[int, ...]
-    omega: tuple[Decimal, ...]
-
-
 def _iroot5(m: int) -> int:
     """floor(m ** (1/5)) for an integer m >= 0, by integer Newton steps from above."""
     if m == 0:
@@ -208,8 +199,8 @@ def power_law_column(n_max: int) -> tuple[Decimal, ...]:
     m = 300**5 * n**6.  With r = floor(v), v rounds up iff v > r + 1/2, that
     is iff (2r + 1)**5 < 32 * m; v = r + 1/2 cannot happen, because the fifth
     power of a rational that is not an integer is not an integer.  The
-    arithmetic is on integers, and each Decimal is built from r's digits with
-    exponent -4, so no decimal context is read or changed.
+    arithmetic is on integers, and each Decimal is read from the exact string
+    "<r>E-4", so no decimal context is read or changed.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -219,13 +210,8 @@ def power_law_column(n_max: int) -> tuple[Decimal, ...]:
         r = _iroot5(m)
         if (2 * r + 1) ** 5 < 32 * m:
             r += 1
-        out.append(Decimal((0, tuple(map(int, str(r))), -4)))
+        out.append(Decimal(f"{r}E-4"))
     return tuple(out)
-
-
-def dp_tables(n_max: int) -> DpTables:
-    lprime = restricted_lb(n_max)
-    return DpTables(lprime, _general_lb(lprime), power_law_column(n_max))
 
 
 @dataclass(frozen=True)
@@ -383,10 +369,12 @@ def construct_upper(n: int) -> UpperBoundConstruction:
 
 def emit_tables(n_max: int) -> str:
     """CSV with columns n, lprime, general, omega for 4 <= n <= n_max."""
-    tables = dp_tables(n_max)
+    lprime = restricted_lb(n_max)
+    general = _general_lb(lprime)
+    omega = power_law_column(n_max)
     lines = ["n,lprime,general,omega"]
     for n in range(4, n_max + 1):
-        lines.append(f"{n},{tables.lprime[n]},{tables.general[n]},{tables.omega[n]}")
+        lines.append(f"{n},{lprime[n]},{general[n]},{omega[n]}")
     return "\n".join(lines) + "\n"
 
 

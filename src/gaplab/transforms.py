@@ -19,32 +19,11 @@ additionally require distinct labels (apply ``distinctify`` first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidLabellingError
 from .graph import Graph
 from .labelling import Labelling, is_gap_labelling
-
-
-@dataclass(frozen=True)
-class PrimeWitness:
-    """A prime found in [n, 2n]; Bertrand's postulate guarantees existence."""
-
-    p: int
-    range_low: int
-    range_high: int
-
-
-@dataclass(frozen=True)
-class GolombRuler:
-    """Strictly increasing marks with all pairwise differences distinct."""
-
-    marks: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.marks)
 
 
 def is_prime(p: int) -> bool:
@@ -62,21 +41,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> PrimeWitness:
-    """Smallest prime p >= max(n, 2); always lands within [n, 2n] for n >= 1."""
+def next_prime(n: int) -> int:
+    """Smallest prime p >= max(n, 2); Bertrand's postulate gives p <= 2n for n >= 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     p = max(n, 2)
     while not is_prime(p):
         p += 1
-    return PrimeWitness(p=p, range_low=n, range_high=2 * n)
+    return p
 
 
-def erdos_turan_ruler(p: int) -> GolombRuler:
-    """Order-p ruler with marks 2pk + (k^2 mod p); largest mark <= 2p^2 - p - 1."""
+def erdos_turan_ruler(p: int) -> tuple[int, ...]:
+    """The p marks 2pk + (k^2 mod p), a Golomb ruler; largest mark <= 2p^2 - p - 1."""
     if not is_prime(p):
         raise ValueError(f"ruler construction needs a prime, got {p}")
-    return GolombRuler(tuple(2 * p * k + (k * k) % p for k in range(p)))
+    return tuple(2 * p * k + (k * k) % p for k in range(p))
 
 
 def is_golomb_ruler(marks) -> bool:
@@ -139,9 +118,9 @@ def power_two_relabel(g: Graph, labels) -> Labelling:
 
 def decision_marks(n: int) -> tuple[int, ...]:
     """The first n Erdos-Turan marks for p = next_prime(n), shifted by 2p^2."""
-    p = next_prime(n).p
+    p = next_prime(n)
     shift = 2 * p * p
-    return tuple(m + shift for m in erdos_turan_ruler(p).marks[:n])
+    return tuple(m + shift for m in erdos_turan_ruler(p)[:n])
 
 
 def golomb_relabel(g: Graph, labels) -> Labelling:

@@ -217,7 +217,7 @@ def test_05_ruler_pipeline_on_search_witnesses():
             assert witness is not None
             relabelled = golomb_relabel(g, distinctify(g, witness))
             assert is_gap_labelling(g, relabelled)[0]
-            p = next_prime(g.n).p
+            p = next_prime(g.n)
             assert max(relabelled) <= 4 * p * p
 
 
@@ -300,7 +300,7 @@ def test_10_distinctify_sweep_and_ruler_checks():
         for p in range(2, 98):
             if not is_prime(p):
                 continue
-            marks = erdos_turan_ruler(p).marks
+            marks = erdos_turan_ruler(p)
             assert marks[-1] <= 2 * p * p - p - 1
             assert is_golomb_ruler(marks)
             diffs = [b - a for a, b in combinations(marks, 2)]

@@ -2,7 +2,18 @@ import sys
 
 import pytest
 
-from gaplab import complete_graph, parse_graph, parse_labelling, serialize_graph
+from gaplab import (
+    DomainError,
+    FamilySpec,
+    build_family,
+    complete_graph,
+    family_labelling,
+    parse_graph,
+    parse_labelling,
+    serialize_graph,
+    serialize_labelling,
+)
+from gaplab import cli
 from gaplab.cli import main
 
 
@@ -26,6 +37,31 @@ def test_gen_label_verify_flow(tmp_path, capsys):
                        "--labels", str(labels_file))
     assert code == 0
     assert out.strip() == "VALID"
+
+
+@pytest.mark.parametrize("family, n, k", [
+    ("complete", 3, None), ("complete", 5, None),
+    ("path-power", 30, 3), ("path-power", 7, 4),
+    ("cycle-power", 30, 4), ("cycle-power", 9, 3),
+])
+def test_gen_and_label_print_the_family_graph_and_labelling(capsys, family, n, k):
+    spec = FamilySpec(family, n, k)
+    flags = ["--family", family, "--n", str(n)] + ([] if k is None else ["--k", str(k)])
+    assert run(capsys, "gen", *flags) == (0, serialize_graph(build_family(spec)), "")
+    try:
+        expected = (0, serialize_labelling(family_labelling(spec)), "")
+    except DomainError as exc:
+        expected = (1, "", f"error: {exc}\n")
+    assert run(capsys, "label", *flags) == expected
+
+
+def test_out_of_memory_exits_one(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_family", exhausted)
+    code, out, err = run(capsys, "gen", "--family", "complete", "--n", "100000000000")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_verify_reports_conflicts_and_fails(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_squared_path_on_five_vertices_is_labelable():
 def test_marks_are_shifted_ruler_prefix():
     marks = decision_marks(3)
     assert marks == (18, 25, 31)
-    p = next_prime(10).p
+    p = next_prime(10)
     assert min(decision_marks(10)) == 2 * p * p
 
 
@@ -167,7 +167,7 @@ def test_agreement_with_naive_enumeration_on_sampled_larger_graphs():
 def test_agreement_with_full_vector_enumeration_on_triangle_and_path():
     # independent oracle: every labelling with labels up to 4p^2 is tried
     for g in (complete_graph(3), path_power(3, 1)):
-        p = next_prime(g.n).p
+        p = next_prime(g.n)
         bound = 4 * p * p
         found = any(
             is_gap_labelling(g, labs)[0]

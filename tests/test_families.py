@@ -12,6 +12,7 @@ from gaplab import (
     construct_cycle_power_labelling,
     construct_path_power_labelling,
     cycle_power,
+    family_labelling,
     decide,
     induced_colouring,
     is_gap_labelling,
@@ -203,3 +204,15 @@ def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec(PATH_POWER, 4)
     assert build_family(FamilySpec(COMPLETE, 4)) == complete_graph(4)
+
+
+def test_table_dispatches_each_family_to_its_own_functions():
+    assert build_family(FamilySpec(PATH_POWER, 8, 3)) == path_power(8, 3)
+    assert build_family(FamilySpec(CYCLE_POWER, 9, 2)) == cycle_power(9, 2)
+    assert family_labelling(FamilySpec(COMPLETE, 3)) == construct_complete_labelling(3)
+    assert family_labelling(FamilySpec(PATH_POWER, 8, 3)) == construct_path_power_labelling(8, 3)
+    assert family_labelling(FamilySpec(CYCLE_POWER, 9, 2)) == construct_cycle_power_labelling(9, 2)
+    with pytest.raises(DomainError):
+        family_labelling(FamilySpec(CYCLE_POWER, 8, 3))
+    # The constants are the CLI's --family spellings.
+    assert (COMPLETE, PATH_POWER, CYCLE_POWER) == ("complete", "path-power", "cycle-power")

@@ -76,6 +76,18 @@ def test_cycle_power_regularity():
             assert all(g.degree(v) == 2 * k for v in range(n))
 
 
+def test_cycle_power_matches_its_definition():
+    # k >= n/2 reaches every vertex, so those powers are K_n.
+    for n in range(3, 41):
+        for k in range(1, n + 3):
+            expected = [
+                (u, v) for u, v in combinations(range(n), 2) if min(v - u, n - (v - u)) <= k
+            ]
+            assert cycle_power(n, k) == graph_from_edges(n, expected), (n, k)
+            if 2 * k >= n:
+                assert cycle_power(n, k) == complete_graph(n)
+
+
 def test_cycle_power_argument_errors():
     with pytest.raises(ValueError):
         cycle_power(2, 1)

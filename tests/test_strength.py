@@ -13,7 +13,6 @@ from gaplab import (
     construct_upper,
     decide,
     decompose,
-    dp_tables,
     emit_tables,
     exact_strength,
     general_lb,
@@ -401,13 +400,13 @@ def test_emit_tables_row_count_and_values():
     text = emit_tables(30)
     lines = text.strip().split("\n")[1:]
     assert len(lines) == 27
-    tables = dp_tables(30)
+    lprime, general, omega = restricted_lb(30), general_lb(30), power_law_column(30)
     for line in lines:
         n_s, lp_s, general_s, omega_s = line.split(",")
         n = int(n_s)
-        assert int(lp_s) == tables.lprime[n]
-        assert int(general_s) == tables.general[n]
-        assert Decimal(omega_s) == tables.omega[n]
+        assert int(lp_s) == lprime[n]
+        assert int(general_s) == general[n]
+        assert Decimal(omega_s) == omega[n]
 
 
 def test_emit_tables_2000_is_pinned():
@@ -421,9 +420,9 @@ def test_emit_tables_2000_is_pinned():
 
 
 def test_omega_column_has_four_decimals():
-    tables = dp_tables(10)
-    assert str(tables.omega[4]) == "0.1583"
-    assert all(str(x).split(".")[1].__len__() == 4 for x in tables.omega[4:])
+    omega = power_law_column(10)
+    assert str(omega[4]) == "0.1583"
+    assert all(str(x).split(".")[1].__len__() == 4 for x in omega[4:])
 
 
 def test_power_law_column_rejects_a_negative_n_max():

@@ -22,19 +22,18 @@ SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def test_next_prime_values():
-    assert next_prime(4).p == 5
-    assert next_prime(7).p == 7
-    assert next_prime(14).p == 17
-    assert next_prime(1).p == 2
-    assert next_prime(2).p == 2
+    assert next_prime(4) == 5
+    assert next_prime(7) == 7
+    assert next_prime(14) == 17
+    assert next_prime(1) == 2
+    assert next_prime(2) == 2
 
 
 def test_next_prime_stays_in_doubling_window():
     for n in range(1, 400):
-        w = next_prime(n)
-        assert is_prime(w.p)
-        assert n <= w.p <= 2 * n or (n == 1 and w.p == 2)
-        assert (w.range_low, w.range_high) == (n, 2 * n)
+        p = next_prime(n)
+        assert is_prime(p)
+        assert n <= p <= 2 * n or (n == 1 and p == 2)
 
 
 def test_next_prime_rejects_nonpositive():
@@ -43,18 +42,18 @@ def test_next_prime_rejects_nonpositive():
 
 
 def test_ruler_marks_for_five():
-    ruler = erdos_turan_ruler(5)
-    assert ruler.marks == (0, 11, 24, 34, 41)
-    assert ruler.order == 5
-    assert ruler.marks[-1] <= 2 * 25 - 5 - 1
+    marks = erdos_turan_ruler(5)
+    assert marks == (0, 11, 24, 34, 41)
+    assert len(marks) == 5
+    assert marks[-1] <= 2 * 25 - 5 - 1
 
 
 def test_ruler_marks_for_two_and_seven():
-    assert erdos_turan_ruler(2).marks == (0, 5)
-    ruler = erdos_turan_ruler(7)
-    assert ruler.order == 7
-    assert ruler.marks[-1] <= 2 * 49 - 7 - 1
-    assert is_golomb_ruler(ruler.marks)
+    assert erdos_turan_ruler(2) == (0, 5)
+    marks = erdos_turan_ruler(7)
+    assert len(marks) == 7
+    assert marks[-1] <= 2 * 49 - 7 - 1
+    assert is_golomb_ruler(marks)
 
 
 def test_ruler_rejects_composites():
@@ -64,7 +63,7 @@ def test_ruler_rejects_composites():
 
 def test_ruler_difference_property_small_primes():
     for p in SMALL_PRIMES:
-        marks = erdos_turan_ruler(p).marks
+        marks = erdos_turan_ruler(p)
         assert is_golomb_ruler(marks)
         assert marks[-1] <= 2 * p * p - p - 1
         assert marks[-1] == 2 * p * (p - 1) + (p - 1) ** 2 % p
@@ -170,7 +169,7 @@ def test_relabel_pipeline_bounds_and_validity():
     for g, labels in cases:
         out = golomb_relabel(g, distinctify(g, labels))
         assert is_gap_labelling(g, out)[0]
-        p = next_prime(g.n).p
+        p = next_prime(g.n)
         assert max(out) <= 4 * p * p
         # degree-one colours sit above every gap colour by construction
         colours = induced_colouring(g, out)
@@ -181,7 +180,7 @@ def test_relabel_pipeline_bounds_and_validity():
 
 def test_combination_helper_consistency():
     # every pairwise difference in a shifted ruler is a difference of marks
-    marks = erdos_turan_ruler(7).marks
+    marks = erdos_turan_ruler(7)
     shifted = [m + 98 for m in marks]
     diffs = {b - a for a, b in combinations(shifted, 2)}
     assert diffs == {b - a for a, b in combinations(marks, 2)}
