@@ -3,11 +3,16 @@
 Exit codes: 0 success (and, for verify, a valid labelling); 1 domain or
 input errors, or out of memory; 2 usage errors; 3 search budget exhausted
 (the budget comes from the GAPLAB_SEARCH_BUDGET environment variable).
+
+``main`` may be called repeatedly in one process: every call parses with the
+same parser, built on first use.  Only such in-process callers save work; a
+``gaplab`` command is one process and builds the parser once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -137,7 +142,13 @@ def _cmd_strength_exact(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    Parsing leaves the parser unchanged, so every ``main`` call in a process
+    can use the one instance; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="gaplab", description="Gap-vertex-labellings of graphs."
     )

@@ -23,6 +23,7 @@ mark on one vertex per automorphism orbit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -89,16 +90,22 @@ def _search(
             depth_marks.append(marks[lo])
         lo += 1
         hi -= 1
+    degree = list(map(len, adj))
+    # No search enters sys.maxsize nodes, so no budget means no limit.
+    limit = sys.maxsize if budget is None else budget
     label = [0] * n  # 0: unplaced; marks are positive
     placed_nbrs = [0] * n
     first_top = [0] * n
     first_bottom = [0] * n
     colour = [0] * n  # 0: not pinned; colours are positive
+    colour_of = colour.__getitem__
     path: list[int] = []  # vertex placed at each depth
     pins: list[list[int]] = []  # vertices pinned on entering each depth
     stack = [iter(firsts)]  # candidates for the vertex at each depth
     tried = 0
 
+    # The place and undo loops come in a top (even depth) and a bottom (odd
+    # depth) copy, so the per-neighbour work does not test which it is.
     while stack:
         for v in stack[-1]:
             if not label[v]:
@@ -111,49 +118,69 @@ def _search(
                 done = path.pop()
                 m = label[done]
                 label[done] = 0
-                top = len(path) % 2 == 0
-                for u in adj[done]:
-                    placed_nbrs[u] -= 1
-                    if top:
+                if len(path) % 2 == 0:
+                    for u in adj[done]:
+                        placed_nbrs[u] -= 1
                         if first_top[u] == m:
                             first_top[u] = 0
-                    elif first_bottom[u] == m:
-                        first_bottom[u] = 0
+                else:
+                    for u in adj[done]:
+                        placed_nbrs[u] -= 1
+                        if first_bottom[u] == m:
+                            first_bottom[u] = 0
             continue
 
         tried += 1
-        if budget is not None and tried > budget:
+        if tried > limit:
             raise SearchBudgetExceeded(tried, budget)
         depth = len(path)
         m = depth_marks[depth]
-        top = depth % 2 == 0
         label[v] = m
         pinned = []
-        for u in adj[v]:
-            placed_nbrs[u] += 1
-            if top:
-                if not first_top[u]:
-                    first_top[u] = m
-            elif not first_bottom[u]:
-                first_bottom[u] = m
-            if colour[u]:
-                continue
-            deg = len(adj[u])
-            if deg == 1:
-                colour[u] = m
-            elif first_top[u] and first_bottom[u]:
-                colour[u] = first_top[u] - first_bottom[u]
-            elif placed_nbrs[u] == deg:
-                colour[u] = first_top[u] - m if top else m - first_bottom[u]
-            else:
-                continue
-            pinned.append(u)
+        if depth % 2 == 0:
+            for u in adj[v]:
+                placed_nbrs[u] += 1
+                top = first_top[u]
+                if not top:
+                    first_top[u] = top = m
+                if colour[u]:
+                    continue
+                if degree[u] == 1:
+                    colour[u] = m
+                elif first_bottom[u]:
+                    colour[u] = top - first_bottom[u]
+                elif placed_nbrs[u] == degree[u]:
+                    colour[u] = top - m
+                else:
+                    continue
+                pinned.append(u)
+        else:
+            for u in adj[v]:
+                placed_nbrs[u] += 1
+                bottom = first_bottom[u]
+                if not bottom:
+                    first_bottom[u] = bottom = m
+                if colour[u]:
+                    continue
+                if degree[u] == 1:
+                    colour[u] = m
+                elif first_top[u]:
+                    colour[u] = first_top[u] - bottom
+                elif placed_nbrs[u] == degree[u]:
+                    colour[u] = m - bottom
+                else:
+                    continue
+                pinned.append(u)
         path.append(v)
         pins.append(pinned)
-        clash = any(colour[w] == colour[u] for u in pinned for w in adj[u])
-        if not clash and depth + 1 == n:
-            return tuple(label), tried
-        stack.append(iter(() if clash else range(n)))
+        for u in pinned:
+            if colour[u] in map(colour_of, adj[u]):
+                stack.append(iter(()))
+                break
+        else:
+            if depth + 1 == n:
+                return tuple(label), tried
+            stack.append(iter(range(n)))
     return None, tried
 
 
@@ -189,10 +216,10 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
     n = g.n
     adj = g.adjacency
     # completes[v]: the vertices whose colour becomes known once v, their
-    # highest-numbered neighbour, is labelled.
-    completes: list[list[int]] = [[] for _ in range(n)]
+    # highest-numbered neighbour, is labelled, each with its neighbours.
+    completes: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for w in range(n):
-        completes[max(adj[w])].append(w)
+        completes[max(adj[w])].append((w, adj[w]))
     tried = 0
 
     def search(k: int) -> bool:
@@ -201,11 +228,12 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
         nonlocal tried
         label = [0] * n
         colour: list[int | None] = [None] * n
+        colour_of = colour.__getitem__
         v = 0
         while v >= 0:
             if label[v] == k:
                 label[v] = 0
-                for w in completes[v]:
+                for w, _ in completes[v]:
                     colour[w] = None
                 v -= 1
                 continue
@@ -214,10 +242,15 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
             if budget is not None and tried > budget:
                 raise SearchBudgetExceeded(tried, budget)
             newly = completes[v]
-            for w in newly:
-                vals = [label[u] for u in adj[w]]
+            for w, nbrs in newly:
+                vals = [label[u] for u in nbrs]
                 colour[w] = vals[0] if len(vals) == 1 else max(vals) - min(vals)
-            if not any(colour[x] == colour[w] for w in newly for x in adj[w]):
+            # All of them are coloured before any is tested, so none is
+            # tested against a colour left over from v's previous label.
+            for w, nbrs in newly:
+                if colour[w] in map(colour_of, nbrs):
+                    break
+            else:
                 if v + 1 == n:
                     return True
                 v += 1

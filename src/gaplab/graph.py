@@ -183,12 +183,12 @@ def _parse_whole(text: str) -> Graph | None:
     The layout: leading ``#`` comment lines, then "n m" and one "u v" line
     per edge, each two runs of decimal digits joined by one space and ended
     by "\\n" or "\\r\\n" (the last may lack it), with the edges in
-    lexicographic order.  On such text the line loop's checks are made on
-    all edges at once: range, by looking every endpoint up among the names
-    of the vertices 0..n-1; u < v; and strictly increasing keys u * n + v,
-    which rule out duplicates and leave the neighbour lists sorted.  None
-    means "not proved valid": the caller then runs the line loop, which
-    accepts or reports.
+    lexicographic order; empty lines after the comments are dropped first.
+    On such text the line loop's checks are made on all edges at once:
+    range, by looking every endpoint up among the names of the vertices
+    0..n-1; u < v; and strictly increasing keys u * n + v, which rule out
+    duplicates and leave the neighbour lists sorted.  None means "not proved
+    valid": the caller then runs the line loop, which accepts or reports.
     """
     if not text.isascii():
         return None
@@ -205,6 +205,10 @@ def _parse_whole(text: str) -> Graph | None:
     if len(data[:start].translate(None, _OTHER_LINE_BREAKS)) != start:
         return None  # the line loop would end a comment early and read on
     body = data[start:]
+    # The line loop skips empty lines, so dropping them changes no verdict.
+    while b"\n\n" in body:
+        body = body.replace(b"\n\n", b"\n")
+    body = body.removeprefix(b"\n")
     tokens = body.split()
     pairs, odd = divmod(len(tokens), 2)
     # Each of the 2p digit runs needs a gap of its own between separators:

@@ -55,6 +55,38 @@ def test_gen_and_label_print_the_family_graph_and_labelling(capsys, family, n, k
     assert run(capsys, "label", *flags) == expected
 
 
+def test_a_reused_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    from gaplab import path_power
+
+    graph_file = tmp_path / "p92.graph"
+    graph_file.write_text(serialize_graph(path_power(9, 2)))
+    first = ["label", "--family", "path-power", "--n", "9", "--k", "2"]
+    calls = [
+        first,
+        ["label", "--graph", str(graph_file)],
+        ["gen", "--family", "cycle-power", "--n", "9"],
+        ["decide", "--graph", str(graph_file)],
+        ["chi", "--graph", str(graph_file), "--kmax", "4"],
+        first,
+    ]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = outcomes()
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert reused == outcomes()
+
+
 def test_out_of_memory_exits_one(capsys, monkeypatch):
     def exhausted(spec):
         raise MemoryError

@@ -21,6 +21,7 @@ from gaplab import (
     path_power,
     vertex_gap_number,
 )
+from gaplab.decide import _search
 
 
 def star(leaves):
@@ -102,6 +103,93 @@ def full_recompute_decide(g):
         if witness is not None:
             return witness, searcher.tried
     return None, searcher.tried
+
+
+def reference_search(g, firsts, budget):
+    """Oracle for ``_search``: the same walk with one place and one undo loop.
+
+    It tests per neighbour whether the node places a top or a bottom mark,
+    looks degrees up through the adjacency and finds clashes with a nested
+    ``any``, so it must visit the same nodes, in the same order, with the
+    same count as the library search.
+    """
+    n, adj = g.n, g.adjacency
+    marks = decision_marks(n)
+    # Mark placed at each depth, outside-in: largest, smallest, ...
+    depth_marks = []
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        depth_marks.append(marks[hi])
+        if lo < hi:
+            depth_marks.append(marks[lo])
+        lo += 1
+        hi -= 1
+    label = [0] * n  # 0: unplaced; marks are positive
+    placed_nbrs = [0] * n
+    first_top = [0] * n
+    first_bottom = [0] * n
+    colour = [0] * n  # 0: not pinned; colours are positive
+    path: list[int] = []  # vertex placed at each depth
+    pins: list[list[int]] = []  # vertices pinned on entering each depth
+    stack = [iter(firsts)]  # candidates for the vertex at each depth
+    tried = 0
+
+    while stack:
+        for v in stack[-1]:
+            if not label[v]:
+                break
+        else:
+            stack.pop()
+            if path:
+                for u in pins.pop():
+                    colour[u] = 0
+                done = path.pop()
+                m = label[done]
+                label[done] = 0
+                top = len(path) % 2 == 0
+                for u in adj[done]:
+                    placed_nbrs[u] -= 1
+                    if top:
+                        if first_top[u] == m:
+                            first_top[u] = 0
+                    elif first_bottom[u] == m:
+                        first_bottom[u] = 0
+            continue
+
+        tried += 1
+        if budget is not None and tried > budget:
+            raise SearchBudgetExceeded(tried, budget)
+        depth = len(path)
+        m = depth_marks[depth]
+        top = depth % 2 == 0
+        label[v] = m
+        pinned = []
+        for u in adj[v]:
+            placed_nbrs[u] += 1
+            if top:
+                if not first_top[u]:
+                    first_top[u] = m
+            elif not first_bottom[u]:
+                first_bottom[u] = m
+            if colour[u]:
+                continue
+            deg = len(adj[u])
+            if deg == 1:
+                colour[u] = m
+            elif first_top[u] and first_bottom[u]:
+                colour[u] = first_top[u] - first_bottom[u]
+            elif placed_nbrs[u] == deg:
+                colour[u] = first_top[u] - m if top else m - first_bottom[u]
+            else:
+                continue
+            pinned.append(u)
+        path.append(v)
+        pins.append(pinned)
+        clash = any(colour[w] == colour[u] for u in pinned for w in adj[u])
+        if not clash and depth + 1 == n:
+            return tuple(label), tried
+        stack.append(iter(() if clash else range(n)))
+    return None, tried
 
 
 def outlier_graph():
@@ -295,6 +383,24 @@ def test_incremental_search_matches_full_recompute_oracle():
         assert result.labelable == (witness is not None), sorted(g.edges)
         assert result.assignments_tried == tried, sorted(g.edges)
         assert result.witness == witness, sorted(g.edges)
+
+
+def test_search_matches_the_reference_walk_at_corpus_sizes():
+    # No graph drawn here needs 3,000 nodes; the budget of 40 stops about
+    # one search in seven, so both outcomes are compared.
+    rng = random.Random(1515)
+    for n, p, _ in product(range(12, 21), (0.2, 0.3, 0.4, 0.6), range(4)):
+        g = random_connected(rng, n, p)
+        firsts = orbit_representatives(g)
+        for budget in (3000, 40):
+            try:
+                expected = reference_search(g, firsts, budget)
+            except SearchBudgetExceeded as exc:
+                with pytest.raises(SearchBudgetExceeded) as got:
+                    _search(g, firsts, budget)
+                assert got.value.tried == exc.tried, sorted(g.edges)
+            else:
+                assert _search(g, firsts, budget) == expected, sorted(g.edges)
 
 
 def test_search_node_counts_are_pinned():

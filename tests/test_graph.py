@@ -418,3 +418,6 @@ def test_whole_text_path_reads_what_serialize_graph_writes():
         assert graph_module._parse_whole("# note\n#\n" + text.rstrip("\n")) == g
         assert graph_module._parse_whole(text.replace("\n", "\r\n")) == g
         assert graph_module._parse_whole("# note\r\n" + text.replace("\n", "\r\n", 1)) == g
+        header, _, body = text.partition("\n")
+        assert graph_module._parse_whole(header + "\n\n" + body) == g
+        assert graph_module._parse_whole("# note\n\n" + text.replace("\n", "\r\n\n\n")) == g
