@@ -58,13 +58,11 @@ from .labelling import (
 )
 from .strength import (
     BoundCheck,
-    Decomposition,
     RemovalPlan,
     RemovalStep,
     UpperBoundConstruction,
     check_bounds,
     construct_upper,
-    decompose,
     emit_tables,
     exact_strength,
     general_lb,

@@ -13,12 +13,14 @@ largest, ...), so every placed mark is a "top" mark, above all unplaced
 ones, or a "bottom" mark, below all of them.  The largest neighbour mark of
 a vertex is then its first top neighbour's and the smallest its first bottom
 neighbour's, so its colour is pinned, for good, once it has one of each (or
-once all its neighbours are placed).  Pins are kept per vertex and updated
-only at the neighbours of each placed vertex, so a search node costs
-O(degree), and dense graphs are refuted after a couple of placements.  The
-search is one walk with an explicit stack, so its depth is not bounded by
-the interpreter's recursion limit; the stack's root frame tries the first
-mark on one vertex per automorphism orbit.
+once all its neighbours are placed).  The search stores bottom marks
+negated, so a placed mark's sign tells its side, a pinned gap is the sum of
+the two first marks, and one loop serves both sides.  Pins are kept per
+vertex and updated only at the neighbours of each placed vertex, so a search
+node costs O(degree), and dense graphs are refuted after a couple of
+placements.  The search is one walk with an explicit stack, so its depth is
+not bounded by the interpreter's recursion limit; the stack's root frame
+tries the first mark on one vertex per automorphism orbit.
 """
 
 from __future__ import annotations
@@ -63,6 +65,17 @@ def _search(
       the colour is largest minus smallest;
     * it has degree one and its neighbour is placed: that neighbour's mark.
 
+    Marks are signed: ``depth_marks`` holds ``+top`` at even depths and
+    ``-bottom`` at odd ones, and ``label``, ``first_top`` and
+    ``first_bottom`` keep them so.  Top minus bottom is then
+    ``first_top + first_bottom``, and with all neighbours placed the gap is
+    ``first - s`` on either side, where ``first`` is the vertex's first mark
+    on the side of the mark ``s`` just placed.  Each node picks its side
+    (``mine``, and ``other`` for the opposite one) from the sign of ``s``, and
+    undo from the sign of the popped label, so the per-neighbour work never
+    tests the side.  A degree-one colour is ``abs(s)``, and the witness drops
+    the signs.
+
     This is exact: recomputing every colour from the placed labels, and
     pinning a partial one when its largest placed neighbour mark beats every
     unplaced mark and its smallest is beaten by every unplaced mark, pins
@@ -81,22 +94,15 @@ def _search(
     """
     n, adj = g.n, g.adjacency
     marks = decision_marks(n)
-    # Mark placed at each depth, outside-in: largest, smallest, ...
-    depth_marks = []
-    lo, hi = 0, n - 1
-    while lo <= hi:
-        depth_marks.append(marks[hi])
-        if lo < hi:
-            depth_marks.append(marks[lo])
-        lo += 1
-        hi -= 1
+    # Signed mark placed at each depth, outside-in: +largest, -smallest, ...
+    depth_marks = [m for t, b in zip(reversed(marks), marks) for m in (t, -b)][:n]
     degree = list(map(len, adj))
     # No search enters sys.maxsize nodes, so no budget means no limit.
     limit = sys.maxsize if budget is None else budget
-    label = [0] * n  # 0: unplaced; marks are positive
+    label = [0] * n  # 0: unplaced; else the signed mark
     placed_nbrs = [0] * n
-    first_top = [0] * n
-    first_bottom = [0] * n
+    first_top = [0] * n  # positive top marks
+    first_bottom = [0] * n  # negated bottom marks
     colour = [0] * n  # 0: not pinned; colours are positive
     colour_of = colour.__getitem__
     path: list[int] = []  # vertex placed at each depth
@@ -104,8 +110,6 @@ def _search(
     stack = [iter(firsts)]  # candidates for the vertex at each depth
     tried = 0
 
-    # The place and undo loops come in a top (even depth) and a bottom (odd
-    # depth) copy, so the per-neighbour work does not test which it is.
     while stack:
         for v in stack[-1]:
             if not label[v]:
@@ -116,61 +120,39 @@ def _search(
                 for u in pins.pop():
                     colour[u] = 0
                 done = path.pop()
-                m = label[done]
+                s = label[done]
                 label[done] = 0
-                if len(path) % 2 == 0:
-                    for u in adj[done]:
-                        placed_nbrs[u] -= 1
-                        if first_top[u] == m:
-                            first_top[u] = 0
-                else:
-                    for u in adj[done]:
-                        placed_nbrs[u] -= 1
-                        if first_bottom[u] == m:
-                            first_bottom[u] = 0
+                mine = first_top if s > 0 else first_bottom
+                for u in adj[done]:
+                    placed_nbrs[u] -= 1
+                    if mine[u] == s:
+                        mine[u] = 0
             continue
 
         tried += 1
         if tried > limit:
             raise SearchBudgetExceeded(tried, budget)
         depth = len(path)
-        m = depth_marks[depth]
-        label[v] = m
+        s = depth_marks[depth]
+        label[v] = s
+        mine, other = (first_top, first_bottom) if s > 0 else (first_bottom, first_top)
         pinned = []
-        if depth % 2 == 0:
-            for u in adj[v]:
-                placed_nbrs[u] += 1
-                top = first_top[u]
-                if not top:
-                    first_top[u] = top = m
-                if colour[u]:
-                    continue
-                if degree[u] == 1:
-                    colour[u] = m
-                elif first_bottom[u]:
-                    colour[u] = top - first_bottom[u]
-                elif placed_nbrs[u] == degree[u]:
-                    colour[u] = top - m
-                else:
-                    continue
-                pinned.append(u)
-        else:
-            for u in adj[v]:
-                placed_nbrs[u] += 1
-                bottom = first_bottom[u]
-                if not bottom:
-                    first_bottom[u] = bottom = m
-                if colour[u]:
-                    continue
-                if degree[u] == 1:
-                    colour[u] = m
-                elif first_top[u]:
-                    colour[u] = first_top[u] - bottom
-                elif placed_nbrs[u] == degree[u]:
-                    colour[u] = m - bottom
-                else:
-                    continue
-                pinned.append(u)
+        for u in adj[v]:
+            placed_nbrs[u] += 1
+            first = mine[u]
+            if not first:
+                mine[u] = first = s
+            if colour[u]:
+                continue
+            if degree[u] == 1:
+                colour[u] = abs(s)
+            elif other[u]:
+                colour[u] = first + other[u]
+            elif placed_nbrs[u] == degree[u]:
+                colour[u] = first - s
+            else:
+                continue
+            pinned.append(u)
         path.append(v)
         pins.append(pinned)
         for u in pinned:
@@ -179,7 +161,7 @@ def _search(
                 break
         else:
             if depth + 1 == n:
-                return tuple(label), tried
+                return tuple(map(abs, label)), tried
             stack.append(iter(range(n)))
     return None, tried
 

@@ -20,6 +20,7 @@ and ``refute_witness`` all dispatch through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import DomainError
 from .graph import Graph, complete_graph, cycle_power, path_power
@@ -147,15 +148,11 @@ def refute_witness(spec: FamilySpec) -> ConflictEvidence:
         for b in range(g.n):
             if a == b:
                 continue
-            shared = (nbr_sets[a] & nbr_sets[b]) - {a, b}
-            found = None
-            for u in sorted(shared):
-                for w in sorted(shared):
-                    if u < w and w in nbr_sets[u]:
-                        found = (u, w)
-                        break
-                if found:
-                    break
+            shared = nbr_sets[a] & nbr_sets[b]
+            found = next(
+                ((u, w) for u, w in combinations(sorted(shared), 2) if w in nbr_sets[u]),
+                None,
+            )
             if found is None:
                 raise RuntimeError(
                     f"no conflict pair for extremes ({a}, {b}) in {spec}; "

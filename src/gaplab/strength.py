@@ -29,53 +29,9 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import UnsupportedInputError
-from .graph import Edge, Graph, complete_graph, remove_edges
+from .graph import Edge, complete_graph, remove_edges
 from .labelling import Labelling, is_gap_labelling
 from .transforms import decision_marks
-
-
-# ---------------------------------------------------------------------------
-# decompositions
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Vertex classes relative to an extreme pair.
-
-    X touches only v_max, Y only v_min, I both, Z neither.
-    """
-
-    v_max: int
-    v_min: int
-    X: frozenset[int]
-    Y: frozenset[int]
-    Z: frozenset[int]
-    I: frozenset[int]
-
-
-def decompose(g: Graph, v_max: int, v_min: int) -> Decomposition:
-    """Classify every other vertex by adjacency to v_max / v_min in g."""
-    if not (0 <= v_max < g.n and 0 <= v_min < g.n):
-        raise ValueError(f"extreme vertices must lie in 0..{g.n - 1}, got {v_max} and {v_min}")
-    if v_max == v_min:
-        raise ValueError("extreme vertices must differ")
-    xs, ys, zs, eyes = set(), set(), set(), set()
-    for v in range(g.n):
-        if v in (v_max, v_min):
-            continue
-        to_max = g.has_edge(v, v_max)
-        to_min = g.has_edge(v, v_min)
-        if to_max and to_min:
-            eyes.add(v)
-        elif to_max:
-            xs.add(v)
-        elif to_min:
-            ys.add(v)
-        else:
-            zs.add(v)
-    return Decomposition(
-        v_max, v_min, frozenset(xs), frozenset(ys), frozenset(zs), frozenset(eyes)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -106,12 +106,13 @@ def full_recompute_decide(g):
 
 
 def reference_search(g, firsts, budget):
-    """Oracle for ``_search``: the same walk with one place and one undo loop.
+    """Oracle for ``_search``: the same walk, written without its shortcuts.
 
-    It tests per neighbour whether the node places a top or a bottom mark,
-    looks degrees up through the adjacency and finds clashes with a nested
-    ``any``, so it must visit the same nodes, in the same order, with the
-    same count as the library search.
+    It keeps marks unsigned, so a pinned gap is top minus bottom; it tests
+    per neighbour whether the node places a top or a bottom mark, looks
+    degrees up through the adjacency and finds clashes with a nested
+    ``any``.  It must still visit the same nodes, in the same order, with
+    the same count as the library search.
     """
     n, adj = g.n, g.adjacency
     marks = decision_marks(n)

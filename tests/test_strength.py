@@ -12,7 +12,6 @@ from gaplab import (
     complete_graph,
     construct_upper,
     decide,
-    decompose,
     emit_tables,
     exact_strength,
     general_lb,
@@ -224,22 +223,6 @@ def test_two_removals_suffice_for_k5_both_shapes():
 def test_single_removal_never_suffices_for_k5():
     g = remove_edges(complete_graph(5), [(0, 1)])
     assert not decide(g).labelable
-
-
-def test_decompose_classifies_by_extreme_adjacency():
-    g = remove_edges(complete_graph(6), [(1, 3), (0, 4), (1, 4), (2, 3)])
-    d = decompose(g, 0, 1)
-    assert d.X == frozenset({3})       # adjacent to 0 only
-    assert d.Y == frozenset({})
-    assert d.Z == frozenset({4})       # adjacent to neither extreme
-    assert d.I == frozenset({2, 5})    # adjacent to both
-    with pytest.raises(ValueError):
-        decompose(g, 2, 2)
-    k4 = complete_graph(4)
-    with pytest.raises(ValueError):
-        decompose(k4, 7, 0)
-    with pytest.raises(ValueError):
-        decompose(k4, -1, 0)
 
 
 def test_construct_upper_smallest_case():
