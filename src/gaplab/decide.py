@@ -20,7 +20,14 @@ vertex and updated only at the neighbours of each placed vertex, so a search
 node costs O(degree), and dense graphs are refuted after a couple of
 placements.  The search is one walk with an explicit stack, so its depth is
 not bounded by the interpreter's recursion limit; the stack's root frame
-tries the first mark on one vertex per automorphism orbit.
+tries the first mark on one vertex per automorphism orbit, and the frame
+below it only bottoms numbered above the top.  That second cut is exact
+because reversing the order of a valid mark labelling keeps it valid: a
+vertex of degree >= 2 is coloured by its extreme pair (its highest- and
+lowest-ranked neighbours), distinct pairs give distinct colours since the
+marks are a Golomb ruler, a degree-one colour is a whole label, above
+every gap, so it never clashes, and the reversal only swaps the two ends of
+every pair.
 """
 
 from __future__ import annotations
@@ -87,10 +94,22 @@ def _search(
     only those are checked against their neighbours.
 
     The stack holds one candidate iterator per depth: the root frame tries
-    ``firsts`` and every other frame the vertices in order, each yielding its
-    next unplaced vertex.  A frame below a clash is empty, and an exhausted
-    frame is popped and its node undone.  Every node entered counts once in
-    ``tried``, so a budget spans every first vertex.
+    ``firsts``, the frame below a top t the bottoms b > t, and every other
+    frame the vertices in order, each yielding its next unplaced vertex.  A
+    frame below a clash is empty, and an exhausted frame is popped and its
+    node undone.  Every node entered counts once in ``tried``, so a budget
+    spans every first vertex.
+
+    Precondition: ``firsts`` is every vertex, or the least member of each
+    automorphism orbit.  Trying each (top, bottom) pair once is then exact.
+    Reversing the vertex order keeps a mark labelling's verdict (see the
+    module docstring), so take a valid one with top t and bottom b, and an
+    automorphism taking t to r, the least member of t's orbit.  If it takes
+    b above r, the search tries that pair.  Otherwise reverse the order and
+    map the new top to the least member r2 of its orbit, so r2 < r.  The new
+    bottom lies in t's orbit, whose least member is r, so it is at least r,
+    above r2, and the search tries that pair.  With every vertex as a root,
+    r = t and one of the two orders has its bottom above its top.
     """
     n, adj = g.n, g.adjacency
     marks = decision_marks(n)
@@ -162,7 +181,8 @@ def _search(
         else:
             if depth + 1 == n:
                 return tuple(map(abs, label)), tried
-            stack.append(iter(range(n)))
+            # Reversal break: below the top v, only bottoms above it.
+            stack.append(iter(range(v + 1, n) if depth == 0 else range(n)))
     return None, tried
 
 
@@ -191,6 +211,16 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
     Repeated labels are allowed (the least k often needs them).  Returns None
     when every k up to k_max fails; raises SearchBudgetExceeded when the cap
     is hit first, which is a different outcome from "no such k".
+
+    Labels go on vertices 0, 1, ... in order, each trying 1..k.  When every
+    vertex has degree >= 2, vertex 0 tries only k // 2 + 1..k, one label of
+    each pair {x, k + 1 - x}.  This is exact: every colour is then a gap,
+    max - min of the neighbour labels, and mapping each label x to k + 1 - x
+    keeps every gap, so a labelling and its reflection are valid together.
+    Vertex 0 starts its count at k // 2 instead of 0, so the break costs no
+    work per attempt.  A graph with a leaf keeps the full walk, because a
+    degree-one colour is a whole label, which the reflection changes: P_3 at
+    k = 2 is valid as (2, 2, 1) but not as (1, 1, 2).
     """
     _require_searchable(g)
     if k_max < 1:
@@ -202,13 +232,17 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
     completes: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for w in range(n):
         completes[max(adj[w])].append((w, adj[w]))
+    # Reflection break: with no leaf, vertex 0 starts at k // 2.
+    reflect = min(map(len, adj)) >= 2
     tried = 0
 
     def search(k: int) -> bool:
-        # Labels go on vertices 0, 1, ... in order, each trying 1..k; the
-        # explicit stack is label itself (0 = not yet labelled).
+        # The explicit stack is label itself: a vertex counts up to k from
+        # its start (0, or k // 2 for vertex 0 under the reflection break).
         nonlocal tried
         label = [0] * n
+        if reflect:
+            label[0] = k // 2
         colour: list[int | None] = [None] * n
         colour_of = colour.__getitem__
         v = 0

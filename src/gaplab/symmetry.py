@@ -255,5 +255,9 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
 
 
 def orbit_representatives(g: Graph) -> tuple[int, ...]:
-    """The least vertex of each automorphism orbit."""
+    """The least vertex of each automorphism orbit, in ascending order.
+
+    ``decide``'s reversal break relies on the first: every vertex of an
+    orbit is at least that orbit's representative.
+    """
     return tuple(orbit[0] for orbit in automorphism_orbits(g))

@@ -40,8 +40,9 @@ class FullRecomputeSearcher:
     """Reference search: recomputes every colour and scans every edge per node.
 
     Same tree as the library search (outside-in marks, candidates in vertex
-    order, one count per node entered), but derives each pin directly from
-    the placed labels, so it shares no pinning logic with it.
+    order, bottoms numbered above the top, one count per node entered), but
+    derives each pin directly from the placed labels, so it shares no
+    pinning logic with it.
     """
 
     def __init__(self, g, marks):
@@ -65,7 +66,9 @@ class FullRecomputeSearcher:
             if not self._conflict(label, depth + 1):
                 if depth + 1 == self.n:
                     return tuple(label)
-                for cand in range(self.n):
+                # the bottom, placed at depth 1, is numbered above the top
+                low = vertex + 1 if depth == 0 else 0
+                for cand in range(low, self.n):
                     if label[cand] is None:
                         found = self._place(depth + 1, cand, label)
                         if found is not None:
@@ -96,6 +99,12 @@ class FullRecomputeSearcher:
         )
 
 
+# Every decide call here gets a budget a few times the node count it is known
+# to need, so a pruning regression fails a test instead of hanging the suite.
+# No graph here with n <= 10 needs more than 500 nodes.
+SMALL_BUDGET = 2_000
+
+
 def full_recompute_decide(g):
     searcher = FullRecomputeSearcher(g, decision_marks(g.n))
     for rep in orbit_representatives(g):
@@ -111,8 +120,9 @@ def reference_search(g, firsts, budget):
     It keeps marks unsigned, so a pinned gap is top minus bottom; it tests
     per neighbour whether the node places a top or a bottom mark, looks
     degrees up through the adjacency and finds clashes with a nested
-    ``any``.  It must still visit the same nodes, in the same order, with
-    the same count as the library search.
+    ``any``, and builds each frame as a list, filtered at depth 1 to the
+    vertices numbered above the top.  It must still visit the same nodes, in
+    the same order, with the same count as the library search.
     """
     n, adj = g.n, g.adjacency
     marks = decision_marks(n)
@@ -189,7 +199,8 @@ def reference_search(g, firsts, budget):
         clash = any(colour[w] == colour[u] for u in pinned for w in adj[u])
         if not clash and depth + 1 == n:
             return tuple(label), tried
-        stack.append(iter(() if clash else range(n)))
+        candidates = [] if clash else [u for u in range(n) if depth or u > v]
+        stack.append(iter(candidates))
     return None, tried
 
 
@@ -206,16 +217,16 @@ def outlier_graph():
 
 def test_small_complete_graphs():
     for n in (2, 3):
-        result = decide(complete_graph(n))
+        result = decide(complete_graph(n), budget=SMALL_BUDGET)
         assert result.labelable
         assert is_gap_labelling(complete_graph(n), result.witness)[0]
     for n in (4, 5):
-        result = decide(complete_graph(n))
+        result = decide(complete_graph(n), budget=SMALL_BUDGET)
         assert not result.labelable and result.witness is None
 
 
 def test_squared_path_on_five_vertices_is_labelable():
-    assert decide(path_power(5, 2)).labelable
+    assert decide(path_power(5, 2), budget=SMALL_BUDGET).labelable
 
 
 def test_marks_are_shifted_ruler_prefix():
@@ -232,7 +243,7 @@ def test_agreement_with_naive_enumeration_on_all_order_four_graphs():
         g = graph_from_edges(4, edges)
         if not is_connected(g):
             continue
-        assert decide(g).labelable == naive_decide(g).labelable
+        assert decide(g, budget=SMALL_BUDGET).labelable == naive_decide(g).labelable
 
 
 def test_agreement_with_naive_enumeration_on_all_order_five_graphs():
@@ -242,7 +253,7 @@ def test_agreement_with_naive_enumeration_on_all_order_five_graphs():
         g = graph_from_edges(5, edges)
         if not is_connected(g):
             continue
-        assert decide(g).labelable == naive_decide(g).labelable
+        assert decide(g, budget=SMALL_BUDGET).labelable == naive_decide(g).labelable
 
 
 def test_agreement_with_naive_enumeration_on_sampled_larger_graphs():
@@ -250,7 +261,7 @@ def test_agreement_with_naive_enumeration_on_sampled_larger_graphs():
     for n, repeats in ((6, 12), (7, 8)):
         for _ in range(repeats):
             g = random_connected(rng, n)
-            assert decide(g).labelable == naive_decide(g).labelable
+            assert decide(g, budget=SMALL_BUDGET).labelable == naive_decide(g).labelable
 
 
 def test_agreement_with_full_vector_enumeration_on_triangle_and_path():
@@ -262,30 +273,30 @@ def test_agreement_with_full_vector_enumeration_on_triangle_and_path():
             is_gap_labelling(g, labs)[0]
             for labs in product(range(1, bound + 1), repeat=g.n)
         )
-        assert decide(g).labelable == found
+        assert decide(g, budget=SMALL_BUDGET).labelable == found
 
 
 def test_decision_is_isomorphism_invariant():
     rng = random.Random(5)
     for g in (cycle_power(6, 2), complete_graph(5), path_power(6, 2)):
-        want = decide(g).labelable
+        want = decide(g, budget=SMALL_BUDGET).labelable
         for _ in range(5):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-            assert decide(h).labelable == want
+            assert decide(h, budget=SMALL_BUDGET).labelable == want
 
 
 def test_witness_feeds_the_relabelling_pipeline():
     for g in (complete_graph(3), cycle_power(6, 2), path_power(7, 3)):
-        witness = decide(g).witness
+        witness = decide(g, budget=SMALL_BUDGET).witness
         relabelled = golomb_relabel(g, distinctify(g, witness))
         assert is_gap_labelling(g, relabelled)[0]
 
 
 def test_pruning_beats_plain_enumeration():
     g = complete_graph(5)
-    assert decide(g).assignments_tried < naive_decide(g).assignments_tried
+    assert decide(g, budget=SMALL_BUDGET).assignments_tried < naive_decide(g).assignments_tried
 
 
 def test_budget_is_enforced_and_reported():
@@ -298,17 +309,17 @@ def test_budget_spans_every_first_vertex():
     # The least budget that does not run out is the node count of the whole
     # decision, across every orbit representative the root tries.
     rng = random.Random(31)
-    graphs = [outlier_graph()]
+    graphs = [(outlier_graph(), 100_000)]  # 27,418 nodes
     graphs += [
-        random_connected(rng, rng.randint(6, 10), rng.choice((0.3, 0.45, 0.7)))
+        (random_connected(rng, rng.randint(6, 10), rng.choice((0.3, 0.45, 0.7))), SMALL_BUDGET)
         for _ in range(24)
     ]
     saw_no = saw_late_yes = False
-    for g in graphs:
+    for g, budget in graphs:
         reps = orbit_representatives(g)
         if len(reps) < 2:
             continue
-        result = decide(g)
+        result = decide(g, budget=budget)
         t = result.assignments_tried
         assert decide(g, budget=t) == result
         with pytest.raises(SearchBudgetExceeded) as exc:
@@ -360,6 +371,10 @@ def test_least_label_count_agrees_with_product_enumeration():
 
     rng = random.Random(3)
     cases = [complete_graph(3), path_power(5, 1), star(2), cycle_power(5, 1)]
+    # no leaf, so vertex 0 tries only k // 2 + 1..k: at k = 2 that is label
+    # 2 alone, which C_4 needs, and the bowtie needs the middle label 2 at k = 3
+    bowtie = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3)])
+    cases += [cycle_power(4, 1), bowtie]
     cases += [random_connected(rng, 4) for _ in range(6)]
     for g in cases:
         assert vertex_gap_number(g, 4) == oracle(g, 4)
@@ -380,7 +395,7 @@ def test_incremental_search_matches_full_recompute_oracle():
     for _ in range(300):
         g = random_connected(rng, rng.randint(5, 9), rng.choice((0.2, 0.3, 0.45, 0.7)))
         witness, tried = full_recompute_decide(g)
-        result = decide(g)
+        result = decide(g, budget=SMALL_BUDGET)
         assert result.labelable == (witness is not None), sorted(g.edges)
         assert result.assignments_tried == tried, sorted(g.edges)
         assert result.witness == witness, sorted(g.edges)
@@ -412,27 +427,91 @@ def test_search_node_counts_are_pinned():
         (cycle_power(24, 7), False, 24),
         (complete_graph(30), False, 30),
         (outlier_graph(), True, 27418),
+        # roots 0, 1 and 2; the reversal break cut 18 nodes to 15
+        (path_power(6, 3), False, 15),
     ]
     for g, labelable, nodes in cases:
-        result = decide(g)
+        result = decide(g, budget=4 * nodes)
         assert (result.labelable, result.assignments_tried) == (labelable, nodes), g
         if labelable:
             assert is_gap_labelling(g, result.witness)[0]
 
 
+def test_reversing_the_mark_order_keeps_every_verdict():
+    # The lemma behind decide's reversal break, checked without a search:
+    # under the decision marks only extreme pairs can clash, and reversing
+    # the order swaps each pair's ends.
+    rng = random.Random(41)
+    verdicts = set()
+    saw_leaf = False
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        g = random_connected(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
+        saw_leaf |= min(map(len, g.adjacency)) == 1
+        marks = decision_marks(n)
+        order = list(range(n))
+        rng.shuffle(order)
+        forward = [marks[order[v]] for v in range(n)]
+        backward = [marks[n - 1 - order[v]] for v in range(n)]
+        verdict = is_gap_labelling(g, forward)[0]
+        assert is_gap_labelling(g, backward)[0] == verdict, sorted(g.edges)
+        verdicts.add(verdict)
+    assert verdicts == {True, False} and saw_leaf
+
+
+def test_reflecting_labels_keeps_every_verdict_without_leaves():
+    # The lemma behind chi's reflection break: x -> k + 1 - x keeps every
+    # gap, and with minimum degree 2 every colour is a gap.
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(4, 8)
+        g = random_connected(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        if min(map(len, g.adjacency)) < 2:
+            continue
+        k = rng.randint(2, 6)
+        for _ in range(5):
+            labels = [rng.randint(1, k) for _ in range(n)]
+            verdict = is_gap_labelling(g, labels)[0]
+            reflected = [k + 1 - x for x in labels]
+            assert is_gap_labelling(g, reflected)[0] == verdict, (sorted(g.edges), labels)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_reflection_fails_on_graphs_with_a_leaf():
+    # P_3 at k = 2: the leaves' colours are the centre's label, so (2, 2, 1)
+    # gives colours (2, 1, 2) and its reflection (1, 1, 2) gives (1, 1, 1).
+    p3 = path_power(3, 1)
+    assert is_gap_labelling(p3, (2, 2, 1))[0]
+    assert not is_gap_labelling(p3, (1, 1, 2))[0]
+    # Vertex 5 is a leaf on vertex 1.  With labels up to 4 only this
+    # labelling and one other are valid, both with vertex 0 at 2 and neither
+    # with a valid reflection, so chi would answer 5 if it reflected here.
+    g = graph_from_edges(8, [
+        (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (1, 7),
+        (2, 3), (2, 4), (2, 7), (3, 6), (4, 7),
+    ])
+    valid = (2, 2, 2, 4, 2, 4, 1, 3)
+    assert is_gap_labelling(g, valid)[0]
+    assert not is_gap_labelling(g, [5 - x for x in valid])[0]
+    assert vertex_gap_number(g, 5) == 4
+
+
 def test_search_depth_is_not_bounded_by_recursion_limit():
     g = path_power(1200, 2)
-    result = decide(g)
+    result = decide(g, budget=4 * g.n)
     assert result.labelable and is_gap_labelling(g, result.witness)[0]
     assert vertex_gap_number(path_power(1200, 1), 3) == 2
 
 
 def test_least_label_count_attempts_are_pinned():
-    # the least budget that does not run out is the number of labels tried
+    # the least budget that does not run out is the number of labels tried;
+    # K_3 and K_4 have no leaf, so vertex 0 tries only k // 2 + 1..k
     for g, k_max, attempts, least in (
-        (complete_graph(3), 5, 67, 4),
+        (complete_graph(3), 5, 42, 4),
         (path_power(6, 1), 3, 28, 2),
-        (complete_graph(4), 6, 2828, None),
+        (complete_graph(4), 6, 1514, None),
     ):
         assert vertex_gap_number(g, k_max, budget=attempts) == least
         with pytest.raises(SearchBudgetExceeded):

@@ -97,7 +97,11 @@ def test_orbits_match_brute_force_on_random_graphs():
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
         ]
         g = graph_from_edges(n, edges)
-        assert automorphism_orbits(g) == brute_orbits(g), sorted(g.edges)
+        orbits = brute_orbits(g)
+        assert automorphism_orbits(g) == orbits, sorted(g.edges)
+        # decide's reversal break needs each representative to be its
+        # orbit's least member; they come in ascending order
+        assert orbit_representatives(g) == tuple(sorted(map(min, orbits))), sorted(g.edges)
 
 
 def test_orbit_search_depth_is_not_bounded_by_recursion_limit():
