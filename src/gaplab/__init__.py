@@ -70,11 +70,7 @@ from .strength import (
     removed_edge_ledger,
     restricted_lb,
 )
-from .symmetry import (
-    automorphism_orbits,
-    degree_refinement,
-    orbit_representatives,
-)
+from .symmetry import orbit_representatives
 from .transforms import (
     decision_marks,
     distinctify,

@@ -8,12 +8,21 @@ The marks, ``transforms.decision_marks(n)``, are the first n Erdos-Turan
 marks for p = next_prime(n), shifted by 2p**2 so that degree-one colours
 (whole labels) can never collide with gap colours (mark differences).
 
+Under the marks, whether two adjacent vertices clash follows one rule, the
+clash rule.  A vertex of degree >= 2 is coloured by its extreme pair, its
+highest- and lowest-ranked neighbours, and distinct pairs give distinct
+colours because the marks are a Golomb ruler.  A leaf is coloured by its
+neighbour's mark, which is at least 2p**2 while every gap is at most
+2p**2 - p - 1, and the two ends of a K_2 hold distinct marks, so a leaf
+never clashes and never causes a clash.
+
 The search places marks from the outside in (largest, smallest, second
 largest, ...), so every placed mark is a "top" mark, above all unplaced
 ones, or a "bottom" mark, below all of them.  The largest neighbour mark of
 a vertex is then its first top neighbour's and the smallest its first bottom
-neighbour's, so its colour is pinned, for good, once it has one of each (or
-once all its neighbours are placed).  The search stores bottom marks
+neighbour's, so a vertex of degree >= 2 is pinned, for good, once it has
+one of each (or once all its neighbours are placed), and by the clash rule
+a leaf need never be pinned.  The search stores bottom marks
 negated, so a placed mark's sign tells its side, a pinned gap is the sum of
 the two first marks, and one loop serves both sides.  Pins are kept per
 vertex and updated only at the neighbours of each placed vertex, so a search
@@ -22,12 +31,8 @@ placements.  The search is one walk with an explicit stack, so its depth is
 not bounded by the interpreter's recursion limit; the stack's root frame
 tries the first mark on one vertex per automorphism orbit, and the frame
 below it only bottoms numbered above the top.  That second cut is exact
-because reversing the order of a valid mark labelling keeps it valid: a
-vertex of degree >= 2 is coloured by its extreme pair (its highest- and
-lowest-ranked neighbours), distinct pairs give distinct colours since the
-marks are a Golomb ruler, a degree-one colour is a whole label, above
-every gap, so it never clashes, and the reversal only swaps the two ends of
-every pair.
+because, by the clash rule, reversing the order of a valid mark labelling
+keeps it valid: the reversal only swaps the two ends of every extreme pair.
 """
 
 from __future__ import annotations
@@ -62,36 +67,36 @@ def _search(
     depths place tops (the middle mark of an odd n included) and odd depths
     bottoms.  Tops are placed in falling order and bottoms in rising order,
     so a vertex's first top neighbour holds its largest neighbour mark and
-    its first bottom neighbour its smallest, whatever is placed later.  A
-    vertex's colour is therefore fixed, and pinned, as soon as
-
-    * it has degree >= 2 and both a top and a bottom neighbour: the first
-      top mark minus the first bottom mark;
-    * all its neighbours are placed: with no top neighbour the largest mark
-      is the one just placed, with no bottom neighbour the smallest is, and
-      the colour is largest minus smallest;
-    * it has degree one and its neighbour is placed: that neighbour's mark.
+    its first bottom neighbour its smallest, whatever is placed later.  So a
+    vertex of degree >= 2 has its colour fixed, and pinned, as soon as it
+    has both a top and a bottom neighbour (the first top mark minus the
+    first bottom mark) or all its neighbours are placed (with no neighbour
+    on one side, the mark just placed is that side's extreme).  A leaf is
+    never pinned: by the clash rule (module docstring) it can neither clash
+    nor cause a clash, so leaving it unpinned changes no node.
 
     Marks are signed: ``depth_marks`` holds ``+top`` at even depths and
     ``-bottom`` at odd ones, and ``label``, ``first_top`` and
     ``first_bottom`` keep them so.  Top minus bottom is then
     ``first_top + first_bottom``, and with all neighbours placed the gap is
     ``first - s`` on either side, where ``first`` is the vertex's first mark
-    on the side of the mark ``s`` just placed.  Each node picks its side
-    (``mine``, and ``other`` for the opposite one) from the sign of ``s``, and
-    undo from the sign of the popped label, so the per-neighbour work never
-    tests the side.  A degree-one colour is ``abs(s)``, and the witness drops
-    the signs.
+    on the side of the mark ``s`` just placed.  One rule covers both pins,
+    ``first + (other[u] or -s)``, and its value is never 0, the "not pinned"
+    mark: with both sides placed it is top minus bottom, and with one side
+    fully placed degree >= 2 makes ``first`` differ from ``s``.  Each node
+    picks its side (``mine``, and ``other`` for the opposite one) from the
+    sign of ``s``, and undo from the sign of the popped label, so the
+    per-neighbour work never tests the side.  The witness drops the signs.
 
     This is exact: recomputing every colour from the placed labels, and
     pinning a partial one when its largest placed neighbour mark beats every
     unplaced mark and its smallest is beaten by every unplaced mark, pins
-    the same vertices at the same colours, because a placed mark beats every
-    unplaced one exactly when it is a top mark.  Placing a vertex touches
-    only its neighbours' state (placed-neighbour count, first top mark,
-    first bottom mark), so a node costs O(deg) to enter and to undo.  Pins
-    never move, so only a vertex pinned at this node can create a clash, and
-    only those are checked against their neighbours.
+    the same vertices of degree >= 2 at the same colours, because a placed
+    mark beats every unplaced one exactly when it is a top mark.  Placing a
+    vertex touches only its neighbours' state (placed-neighbour count, first
+    top mark, first bottom mark), so a node costs O(deg) to enter and to
+    undo.  Pins never move, so only a vertex pinned at this node can create
+    a clash, and only those are checked against their neighbours.
 
     The stack holds one candidate iterator per depth: the root frame tries
     ``firsts``, the frame below a top t the bottoms b > t, and every other
@@ -115,7 +120,8 @@ def _search(
     marks = decision_marks(n)
     # Signed mark placed at each depth, outside-in: +largest, -smallest, ...
     depth_marks = [m for t, b in zip(reversed(marks), marks) for m in (t, -b)][:n]
-    degree = list(map(len, adj))
+    # 0 for a leaf, which is never pinned: placed_nbrs never counts to 0.
+    degree = [d if d > 1 else 0 for d in map(len, adj)]
     # No search enters sys.maxsize nodes, so no budget means no limit.
     limit = sys.maxsize if budget is None else budget
     label = [0] * n  # 0: unplaced; else the signed mark
@@ -161,17 +167,9 @@ def _search(
             first = mine[u]
             if not first:
                 mine[u] = first = s
-            if colour[u]:
-                continue
-            if degree[u] == 1:
-                colour[u] = abs(s)
-            elif other[u]:
-                colour[u] = first + other[u]
-            elif placed_nbrs[u] == degree[u]:
-                colour[u] = first - s
-            else:
-                continue
-            pinned.append(u)
+            if not colour[u] and (other[u] or placed_nbrs[u] == degree[u]):
+                colour[u] = first + (other[u] or -s)
+                pinned.append(u)
         path.append(v)
         pins.append(pinned)
         for u in pinned:

@@ -121,15 +121,12 @@ class ConflictEvidence:
     largest label and b the unique smallest, then u and w are adjacent and
     both have a and b among their neighbours, so both are coloured by the
     same gap.  Covering every ordered placement (a, b) refutes labelability,
-    since any valid labelling could be made injective first.
+    since any valid labelling could be made injective first;
+    ``refute_witness`` returns evidence only when it covers all n(n - 1).
     """
 
     spec: FamilySpec
     pairs: dict[tuple[int, int], tuple[int, int]]
-
-    def covers_all_placements(self) -> bool:
-        n = self.spec.n
-        return len(self.pairs) == n * (n - 1)
 
 
 def refute_witness(spec: FamilySpec) -> ConflictEvidence:

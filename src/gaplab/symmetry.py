@@ -1,8 +1,8 @@
-"""Automorphism orbits and the stable colouring, for search pruning.
+"""Automorphism orbits, for pruning the first vertices of ``decide``.
 
-One primitive serves both: equitable refinement of an ordered partition,
-plus an individualise-and-refine search for automorphisms (McKay & Piperno,
-"Practical graph isomorphism II", J. Symb. Comput. 60, 2014).
+Equitable refinement of an ordered partition plus an individualise-and-refine
+search for automorphisms (McKay & Piperno, "Practical graph isomorphism II",
+J. Symb. Comput. 60, 2014).
 
 * **Refinement.**  A partition is a vertex order cut into cells, each cell
   named by its start index in that order.  It is seeded with degree buckets
@@ -110,17 +110,6 @@ def _refine(
     return trace
 
 
-def _equitable(g: Graph) -> tuple[Partition, list[int]]:
-    """The coarsest equitable partition refining the degree buckets, and its trace.
-
-    The first splitter is the whole vertex set, so the first split cuts the
-    single cell into degree buckets.
-    """
-    n = g.n
-    part = (list(range(n)), [0] * n, [n] + [0] * (n - 1))
-    return part, _refine(g.adjacency, part, [0])
-
-
 def _individualise(
     adjacency: tuple[tuple[int, ...], ...], part: Partition, v: int
 ) -> tuple[Partition, list[int]]:
@@ -194,29 +183,23 @@ def _find_map(
     return None
 
 
-def degree_refinement(g: Graph) -> tuple[int, ...]:
-    """Stable colouring refined from degrees; automorphisms preserve it.
+def orbit_representatives(g: Graph) -> tuple[int, ...]:
+    """The least vertex of each automorphism orbit, in ascending order.
 
-    Colours are cell indices of the coarsest equitable partition refining
-    the degree buckets, numbered in an order that does not depend on the
-    vertex numbering.
+    ``decide``'s reversal break relies on the first: every vertex of an
+    orbit is at least that orbit's representative.  Automorphisms found are
+    merged by union-find, each class rooted at its least member, so the
+    roots are the answer.
     """
-    (order, cell, _), _ = _equitable(g)
-    colour = [0] * g.n
-    index = -1
-    for i, v in enumerate(order):
-        if cell[v] == i:
-            index += 1
-        colour[v] = index
-    return tuple(colour)
-
-
-def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
-    """True orbits of the automorphism group, as sorted vertex tuples."""
-    base, _ = _equitable(g)
+    n = g.n
+    # The coarsest equitable partition refining the degree buckets: the
+    # first splitter is the whole vertex set, so the first split cuts the
+    # single cell into degree buckets.
+    base = (list(range(n)), [0] * n, [n] + [0] * (n - 1))
+    _refine(g.adjacency, base, [0])
     order, cell, size = base
     g_sets = [set(a) for a in g.adjacency]
-    parent = list(range(g.n))
+    parent = list(range(n))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -224,7 +207,7 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
             a = parent[a]
         return a
 
-    for c in range(g.n):
+    for c in range(n):
         if cell[order[c]] != c or size[c] == 1:
             continue
         members = sorted(order[c : c + size[c]])
@@ -243,21 +226,9 @@ def automorphism_orbits(g: Graph) -> list[tuple[int, ...]]:
                     for u, image in enumerate(auto):
                         ru, ri = find(u), find(image)
                         if ru != ri:
-                            parent[ri] = ru
+                            parent[max(ru, ri)] = min(ru, ri)
                     break
             else:
                 reps.append(v)
                 pinned[v] = (pv, tv)
-    orbits: dict[int, list[int]] = {}
-    for v in range(g.n):
-        orbits.setdefault(find(v), []).append(v)
-    return sorted(tuple(vs) for vs in orbits.values())
-
-
-def orbit_representatives(g: Graph) -> tuple[int, ...]:
-    """The least vertex of each automorphism orbit, in ascending order.
-
-    ``decide``'s reversal break relies on the first: every vertex of an
-    orbit is at least that orbit's representative.
-    """
-    return tuple(orbit[0] for orbit in automorphism_orbits(g))
+    return tuple(v for v in range(n) if parent[v] == v)

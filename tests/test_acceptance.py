@@ -54,6 +54,15 @@ from gaplab import (
 )
 
 
+# Every search here gets a budget a few times the most it is known to need,
+# so a pruning regression fails a criterion instead of hanging the suite.
+# K_n (n <= 7) takes at most n nodes, a family sweep graph 26, a random
+# graph of criterion 10 350, and a least-label anchor 42 attempts.
+SWEEP_BUDGET = 100
+RANDOM_BUDGET = 1_500
+ANCHOR_BUDGET = 200
+
+
 @contextmanager
 def report(criterion: str):
     try:
@@ -136,11 +145,11 @@ def test_01_reference_labellings_and_colour_vectors():
 def test_02_complete_graph_decisions_small_orders():
     with report("02 complete-graph decisions for n=2..7"):
         for n in (2, 3):
-            result = decide(complete_graph(n))
+            result = decide(complete_graph(n), budget=4 * n)
             assert result.labelable, f"K_{n} should be labelable"
             assert is_gap_labelling(complete_graph(n), result.witness)[0]
         for n in (4, 5, 6, 7):
-            assert not decide(complete_graph(n)).labelable, f"K_{n} should not be labelable"
+            assert not decide(complete_graph(n), budget=4 * n).labelable, f"K_{n} should not be labelable"
 
 
 # criterion 3 -----------------------------------------------------------------
@@ -160,7 +169,7 @@ def family_sweep_cases():
 def test_03_family_predicates_agree_with_search():
     with report("03 family predicates vs exhaustive search"):
         for family, n, k, g, predicted in family_sweep_cases():
-            searched = decide(g).labelable
+            searched = decide(g, budget=SWEEP_BUDGET).labelable
             assert searched == predicted, (
                 f"{family} power (n={n}, k={k}): predicate says {predicted}, "
                 f"search says {searched}"
@@ -186,7 +195,7 @@ def test_04_least_label_count_anchors():
     with report("04 least-label-count anchors"):
         problems = []
         for name, g, expected in least_label_anchors():
-            got = vertex_gap_number(g, 5)
+            got = vertex_gap_number(g, 5, budget=ANCHOR_BUDGET)
             if got != expected:
                 problems.append(f"{name} expected {expected}, computed {got}")
             # k = 1 admits exactly one labelling, so the anchor is 1 iff the
@@ -208,10 +217,10 @@ def test_05_ruler_pipeline_on_search_witnesses():
         witnesses = []
         for n in (2, 3):
             g = complete_graph(n)
-            witnesses.append((g, decide(g).witness))
+            witnesses.append((g, decide(g, budget=4 * n).witness))
         for _, _, _, g, predicted in family_sweep_cases():
             if predicted:
-                witnesses.append((g, decide(g).witness))
+                witnesses.append((g, decide(g, budget=SWEEP_BUDGET).witness))
         assert len(witnesses) >= 10
         for g, witness in witnesses:
             assert witness is not None
@@ -290,7 +299,7 @@ def test_10_distinctify_sweep_and_ruler_checks():
             g = graph_from_edges(n, edges)
             if not is_connected(g):
                 continue
-            result = decide(g)
+            result = decide(g, budget=RANDOM_BUDGET)
             if not result.labelable:
                 continue
             made_distinct = distinctify(g, result.witness)

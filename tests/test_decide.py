@@ -36,6 +36,36 @@ def random_connected(rng, n, p=0.45):
             return g
 
 
+def random_tree(rng, n):
+    return graph_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def with_pendants(g, hosts):
+    """g with one new leaf hung on each vertex in ``hosts``."""
+    return graph_from_edges(
+        g.n + len(hosts), list(g.edges) + [(h, g.n + i) for i, h in enumerate(hosts)]
+    )
+
+
+def leafy_graphs(rng, sizes):
+    """Graphs with leaves: K_2, stars, paths, random trees, G(n, p) plus pendants.
+
+    The search never pins a leaf, while both walk oracles below still do, so
+    these inputs check that leaving leaves unpinned changes no node.
+    """
+    yield path_power(2, 1)  # K_2: both ends are leaves
+    # Every edge of K_4, and the edge 0-1 of the diamond K_4 - {2, 3}, lies
+    # in a diamond, so it can clash; the leaf hangs on one of its ends.
+    yield with_pendants(complete_graph(4), [0])
+    yield with_pendants(graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), [0])
+    for n in sizes:
+        yield star(n - 1)
+        yield path_power(n, 1)
+        yield random_tree(rng, n)
+        g = random_connected(rng, n - 2, rng.choice((0.3, 0.45, 0.7)))
+        yield with_pendants(g, [rng.randrange(g.n) for _ in range(2)])
+
+
 class FullRecomputeSearcher:
     """Reference search: recomputes every colour and scans every edge per node.
 
@@ -392,8 +422,13 @@ def test_least_label_count_rejects_bad_cap():
 
 def test_incremental_search_matches_full_recompute_oracle():
     rng = random.Random(2024)
-    for _ in range(300):
-        g = random_connected(rng, rng.randint(5, 9), rng.choice((0.2, 0.3, 0.45, 0.7)))
+    graphs = [
+        random_connected(rng, rng.randint(5, 9), rng.choice((0.2, 0.3, 0.45, 0.7)))
+        for _ in range(300)
+    ]
+    graphs += leafy_graphs(rng, [n for n in range(5, 10) for _ in range(6)])
+    assert sum(min(map(len, g.adjacency)) == 1 for g in graphs) >= 100
+    for g in graphs:
         witness, tried = full_recompute_decide(g)
         result = decide(g, budget=SMALL_BUDGET)
         assert result.labelable == (witness is not None), sorted(g.edges)
@@ -402,11 +437,18 @@ def test_incremental_search_matches_full_recompute_oracle():
 
 
 def test_search_matches_the_reference_walk_at_corpus_sizes():
-    # No graph drawn here needs 3,000 nodes; the budget of 40 stops about
-    # one search in seven, so both outcomes are compared.
+    # The budget of 3,000 stops six of the G(n, p)-plus-pendants graphs
+    # (their cores are refuted in at most 171 nodes, the pendants multiply
+    # that up to 168,870), and 40 stops 30 of the 255 searches, so both
+    # outcomes are compared.
     rng = random.Random(1515)
-    for n, p, _ in product(range(12, 21), (0.2, 0.3, 0.4, 0.6), range(4)):
-        g = random_connected(rng, n, p)
+    graphs = [
+        random_connected(rng, n, p)
+        for n, p, _ in product(range(12, 21), (0.2, 0.3, 0.4, 0.6), range(4))
+    ]
+    graphs += leafy_graphs(rng, [n for n in range(12, 21) for _ in range(3)])
+    assert sum(min(map(len, g.adjacency)) == 1 for g in graphs) >= 100
+    for g in graphs:
         firsts = orbit_representatives(g)
         for budget in (3000, 40):
             try:

@@ -152,7 +152,7 @@ def test_path_power_construction_colours_all_distinct():
 def evidence_is_sound(spec, evidence):
     g = build_family(spec)
     nbrs = [set(g.adjacency[v]) for v in range(g.n)]
-    assert evidence.covers_all_placements()
+    assert len(evidence.pairs) == g.n * (g.n - 1)
     for (a, b), (u, w) in evidence.pairs.items():
         assert a != b and u != w
         assert u not in (a, b) and w not in (a, b)
@@ -188,14 +188,16 @@ def test_refutation_refuses_labelable_specs():
 
 
 def test_predicates_agree_with_search_small():
+    # Budgets a few times the most the search needs here: 30 nodes for a
+    # path power, 9 for a cycle power.
     for n in range(3, 10):
         for k in range(2, n):
-            assert labelable_path_power(n, k) == decide(path_power(n, k)).labelable
+            assert labelable_path_power(n, k) == decide(path_power(n, k), budget=120).labelable
     for n in range(5, 10):
         for k in range(2, (n + 1) // 2):
             if 2 * k >= n:
                 continue
-            assert labelable_cycle_power(n, k) == decide(cycle_power(n, k)).labelable
+            assert labelable_cycle_power(n, k) == decide(cycle_power(n, k), budget=40).labelable
 
 
 def test_family_spec_validation():

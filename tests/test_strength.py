@@ -181,12 +181,15 @@ def test_exact_strength_of_k4():
 
 
 def brute_force_strength(n):
-    """Every removal set by size, decided by the full search; no dedup."""
+    """Every removal set by size, decided by the full search; no dedup.
+
+    For n <= 6 no search takes more than 22 nodes, so the budget is 100.
+    """
     base = complete_graph(n)
     edges = sorted(base.edges)
     for size in range(1, len(edges) + 1):
         for combo in combinations(edges, size):
-            if decide(remove_edges(base, combo)).labelable:
+            if decide(remove_edges(base, combo), budget=100).labelable:
                 return size
 
 
@@ -222,7 +225,8 @@ def test_two_removals_suffice_for_k5_both_shapes():
 
 def test_single_removal_never_suffices_for_k5():
     g = remove_edges(complete_graph(5), [(0, 1)])
-    assert not decide(g).labelable
+    # refuted in 8 nodes
+    assert not decide(g, budget=32).labelable
 
 
 def test_construct_upper_smallest_case():
@@ -278,7 +282,8 @@ def test_construct_upper_colour_identities_for_fifteen():
 
 def test_removing_three_edges_at_one_vertex_of_k6_is_not_enough():
     g = remove_edges(complete_graph(6), [(0, 1), (0, 2), (0, 3)])
-    assert not decide(g).labelable
+    # refuted in 21 nodes
+    assert not decide(g, budget=84).labelable
 
 
 def test_schedule_matches_full_construction():

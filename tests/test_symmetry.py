@@ -2,57 +2,39 @@ import random
 from itertools import combinations
 
 from gaplab import (
-    automorphism_orbits,
     complete_graph,
     cycle_power,
-    degree_refinement,
     graph_from_edges,
     orbit_representatives,
     path_power,
 )
 
 
-def permuted_copy(g, perm):
-    return graph_from_edges(
-        g.n, [(perm[u], perm[v]) for u, v in g.edges]
-    )
-
-
 def disjoint_union(g, h):
     return graph_from_edges(g.n + h.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges])
 
 
-def test_refinement_separates_path_layers():
-    colours = degree_refinement(path_power(5, 1))
-    assert colours[0] == colours[4]
-    assert colours[1] == colours[3]
-    assert len({colours[0], colours[1], colours[2]}) == 3
-
-
-def test_refinement_is_flat_on_vertex_transitive_graphs():
-    assert len(set(degree_refinement(complete_graph(6)))) == 1
-    assert len(set(degree_refinement(cycle_power(8, 2)))) == 1
-
-
 def test_orbits_complete_and_cycle():
-    assert automorphism_orbits(complete_graph(4)) == [(0, 1, 2, 3)]
-    assert automorphism_orbits(cycle_power(6, 2)) == [(0, 1, 2, 3, 4, 5)]
+    assert orbit_representatives(complete_graph(4)) == (0,)
+    assert orbit_representatives(cycle_power(6, 2)) == (0,)
 
 
 def test_orbits_path_mirror_pairs():
-    assert automorphism_orbits(path_power(5, 1)) == [(0, 4), (1, 3), (2,)]
+    # orbits {0, 4}, {1, 3} and {2}
     assert orbit_representatives(path_power(5, 1)) == (0, 1, 2)
 
 
 def test_orbits_of_a_lopsided_tree():
     # leaves 0 and 2 hang off vertex 1; leaf 4 hangs off vertex 3
     g = graph_from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    assert automorphism_orbits(g) == [(0, 2), (1,), (3,), (4,)]
+    # orbits {0, 2}, {1}, {3} and {4}
+    assert orbit_representatives(g) == (0, 1, 3, 4)
 
 
 def test_orbits_of_hexagon_with_one_chord():
     g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
-    assert automorphism_orbits(g) == [(0, 3), (1, 2, 4, 5)]
+    # orbits {0, 3} and {1, 2, 4, 5}
+    assert orbit_representatives(g) == (0, 1)
 
 
 def test_isomorphism_rejects_same_degree_sequence():
@@ -61,10 +43,11 @@ def test_isomorphism_rejects_same_degree_sequence():
     hexagon = cycle_power(6, 1)
     two_triangles = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     g = disjoint_union(hexagon, two_triangles)
-    assert automorphism_orbits(g) == [tuple(range(6)), tuple(range(6, 12))]
+    assert orbit_representatives(g) == (0, 6)
 
 
 def brute_orbits(g):
+    """Orbits as sorted vertex tuples, from every automorphism."""
     from itertools import permutations
 
     parent = list(range(g.n))
@@ -88,6 +71,10 @@ def brute_orbits(g):
     return sorted(tuple(sorted(o)) for o in orbits.values())
 
 
+def least_members(orbits):
+    return tuple(sorted(map(min, orbits)))
+
+
 def test_orbits_match_brute_force_on_random_graphs():
     rng = random.Random(99)
     for _ in range(60):
@@ -97,16 +84,14 @@ def test_orbits_match_brute_force_on_random_graphs():
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
         ]
         g = graph_from_edges(n, edges)
-        orbits = brute_orbits(g)
-        assert automorphism_orbits(g) == orbits, sorted(g.edges)
         # decide's reversal break needs each representative to be its
         # orbit's least member; they come in ascending order
-        assert orbit_representatives(g) == tuple(sorted(map(min, orbits))), sorted(g.edges)
+        assert orbit_representatives(g) == least_members(brute_orbits(g)), sorted(g.edges)
 
 
 def test_orbit_search_depth_is_not_bounded_by_recursion_limit():
-    orbits = automorphism_orbits(path_power(1200, 2))
-    assert orbits == [(i, 1199 - i) for i in range(600)]
+    # orbits {i, 1199 - i}
+    assert orbit_representatives(path_power(1200, 2)) == tuple(range(600))
 
 
 # --- inputs where refinement alone does nothing ------------------------------
@@ -146,8 +131,7 @@ def test_strongly_regular_pair_with_equal_parameters():
             len(set(g.adjacency[a]) & set(g.adjacency[b])) == 2
             for a, b in combinations(range(16), 2)
         )
-        assert len(set(degree_refinement(g))) == 1
-        assert automorphism_orbits(g) == [tuple(range(16))]
+        assert orbit_representatives(g) == (0,)
 
 
 def test_search_backtracks_across_equal_traces():
@@ -155,39 +139,25 @@ def test_search_backtracks_across_equal_traces():
     # wrong first choice survives the trace check and must be backtracked.
     rook, shrikhande = rook_graph_4x4(), shrikhande_graph()
     g = disjoint_union(rook, shrikhande)
-    assert len(set(degree_refinement(g))) == 1
-    assert automorphism_orbits(g) == [tuple(range(16)), tuple(range(16, 32))]
+    assert orbit_representatives(g) == (0, 16)
 
 
 def test_petersen_graph_is_vertex_transitive():
     g = petersen_graph()
-    assert automorphism_orbits(g) == [tuple(range(10))]
+    assert orbit_representatives(g) == (0,)
     # the pentagonal prism is 3-regular, triangle-free and vertex-transitive
     # too, but has 4-cycles, so no automorphism of the union mixes the two
     prism = graph_from_edges(
         10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     )
-    assert automorphism_orbits(disjoint_union(g, prism)) == [tuple(range(10)), tuple(range(10, 20))]
+    assert orbit_representatives(disjoint_union(g, prism)) == (0, 10)
 
 
 def test_eight_cycle_is_not_two_four_cycles():
     two_squares = graph_from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
     g = disjoint_union(cycle_power(8, 1), two_squares)
-    assert automorphism_orbits(g) == [tuple(range(8)), tuple(range(8, 16))]
-
-
-def test_stable_colouring_does_not_depend_on_vertex_numbering():
-    rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(4, 12)
-        g = graph_from_edges(n, [
-            (u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.4
-        ])
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = permuted_copy(g, perm)
-        assert all(degree_refinement(h)[perm[v]] == degree_refinement(g)[v] for v in range(n))
+    assert orbit_representatives(g) == (0, 8)
 
 
 # --- oracles -----------------------------------------------------------------
@@ -198,7 +168,7 @@ def test_orbits_match_brute_force_on_every_graph_up_to_five_vertices():
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            assert automorphism_orbits(g) == brute_orbits(g), sorted(g.edges)
+            assert orbit_representatives(g) == least_members(brute_orbits(g)), sorted(g.edges)
 
 
 def old_degree_refinement(g):
@@ -313,11 +283,12 @@ def test_refinement_and_orbits_match_previous_code_oracle():
         n = rng.randint(7, 12)
         p = rng.choice((0.2, 0.4, 0.6, 0.8))
         g = graph_from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
-        # both are the coarsest equitable partition refining the degrees
-        assert colour_classes(degree_refinement(g)) == colour_classes(old_degree_refinement(g))
-        orbits = automorphism_orbits(g)
-        assert orbits == old_automorphism_orbits(g), sorted(g.edges)
-        nontrivial += len(orbits) < n
+        reps = orbit_representatives(g)
+        assert reps == least_members(old_automorphism_orbits(g)), sorted(g.edges)
+        # orbits refine the stable colouring, so each colour class's least
+        # member is the least member of its orbit too
+        assert {min(c) for c in colour_classes(old_degree_refinement(g))} <= set(reps)
+        nontrivial += len(reps) < n
     assert nontrivial >= 30  # the sample exercises the search, not only discrete refinements
 
 
@@ -326,8 +297,9 @@ def test_refinement_and_orbits_match_previous_code_oracle():
 
 def test_orbits_of_vertex_transitive_family_graphs():
     for g in (cycle_power(120, 5), cycle_power(20, 6), cycle_power(24, 7), complete_graph(30)):
-        assert automorphism_orbits(g) == [tuple(range(g.n))], g
+        assert orbit_representatives(g) == (0,), g
 
 
 def test_orbits_of_path_power_are_mirror_pairs():
-    assert automorphism_orbits(path_power(400, 3)) == [(i, 399 - i) for i in range(200)]
+    # orbits {i, 399 - i}
+    assert orbit_representatives(path_power(400, 3)) == tuple(range(200))
