@@ -98,12 +98,18 @@ def _search(
     undo.  Pins never move, so only a vertex pinned at this node can create
     a clash, and only those are checked against their neighbours.
 
-    The stack holds one candidate iterator per depth: the root frame tries
-    ``firsts``, the frame below a top t the bottoms b > t, and every other
-    frame the vertices in order, each yielding its next unplaced vertex.  A
-    frame below a clash is empty, and an exhausted frame is popped and its
-    node undone.  Every node entered counts once in ``tried``, so a budget
-    spans every first vertex.
+    The unplaced vertices form a doubly linked list in ascending order, with
+    head n (Knuth's dancing links): a placed vertex is unlinked and keeps
+    its own links, and undo, which runs in the reverse order of placement,
+    relinks it in O(1).  So a frame needs no state but ``v``, its current
+    candidate: the root frame tries ``firsts``, the frame below a top t
+    starts at ``nxt[t]``, the unplaced vertex after t (the bottoms b > t),
+    and every other frame at ``nxt[n]``, the least unplaced vertex.  Once
+    the node at v is undone, the frame's next candidate is ``nxt[v]``, and
+    the head n ends it; a frame below a clash is empty.  No frame rescans
+    the placed vertices, so a walk that never backtracks costs O(n + m).
+    Every node entered counts once in ``tried``, so a budget spans every
+    first vertex.
 
     Precondition: ``firsts`` is every vertex, or the least member of each
     automorphism orbit.  Trying each (top, bottom) pair once is then exact.
@@ -130,28 +136,32 @@ def _search(
     first_bottom = [0] * n  # negated bottom marks
     colour = [0] * n  # 0: not pinned; colours are positive
     colour_of = colour.__getitem__
+    # The unplaced vertices, ascending: a circular doubly linked list, head n.
+    nxt = list(range(1, n + 1)) + [0]
+    prv = [n] + list(range(n))
     path: list[int] = []  # vertex placed at each depth
     pins: list[list[int]] = []  # vertices pinned on entering each depth
-    stack = [iter(firsts)]  # candidates for the vertex at each depth
+    roots = iter(firsts)
+    v = next(roots, n)  # the next candidate at the current depth; n: none left
     tried = 0
 
-    while stack:
-        for v in stack[-1]:
-            if not label[v]:
-                break
-        else:
-            stack.pop()
-            if path:
-                for u in pins.pop():
-                    colour[u] = 0
-                done = path.pop()
-                s = label[done]
-                label[done] = 0
-                mine = first_top if s > 0 else first_bottom
-                for u in adj[done]:
-                    placed_nbrs[u] -= 1
-                    if mine[u] == s:
-                        mine[u] = 0
+    while True:
+        if v == n:
+            if not path:
+                return None, tried
+            for u in pins.pop():
+                colour[u] = 0
+            done = path.pop()
+            s = label[done]
+            label[done] = 0
+            nxt[prv[done]] = done
+            prv[nxt[done]] = done
+            mine = first_top if s > 0 else first_bottom
+            for u in adj[done]:
+                placed_nbrs[u] -= 1
+                if mine[u] == s:
+                    mine[u] = 0
+            v = nxt[done] if path else next(roots, n)
             continue
 
         tried += 1
@@ -160,6 +170,8 @@ def _search(
         depth = len(path)
         s = depth_marks[depth]
         label[v] = s
+        nxt[prv[v]] = nxt[v]
+        prv[nxt[v]] = prv[v]
         mine, other = (first_top, first_bottom) if s > 0 else (first_bottom, first_top)
         pinned = []
         for u in adj[v]:
@@ -174,14 +186,13 @@ def _search(
         pins.append(pinned)
         for u in pinned:
             if colour[u] in map(colour_of, adj[u]):
-                stack.append(iter(()))
+                v = n  # below a clash nothing is tried
                 break
         else:
             if depth + 1 == n:
                 return tuple(map(abs, label)), tried
             # Reversal break: below the top v, only bottoms above it.
-            stack.append(iter(range(v + 1, n) if depth == 0 else range(n)))
-    return None, tried
+            v = nxt[v] if depth == 0 else nxt[n]
 
 
 def _require_searchable(g: Graph) -> None:

@@ -13,6 +13,17 @@ J. Symb. Comput. 60, 2014).
   is the coarsest equitable partition refining the seed, and the refinement
   returns a trace of its splits (start, counts, sizes) that does not depend
   on how the vertices are numbered.
+* **Touched-only split.**  A position array goes with the order, and a
+  vertex hit for the first time by a splitter is swapped to the tail of its
+  cell, so the k touched members of a cell end up in its last k places.
+  Only they are sorted by count and get new ``cell`` entries; the untouched
+  members keep the cell's start as the count-0 fragment.  Popping a
+  splitter then costs O(d + k log k), for d the adjacency entries it reads
+  and k the vertices they hit, not the sizes of the cells it splits, so
+  splitting one big degree bucket a few members at a time (a path power)
+  is no longer quadratic.  Starts, sizes, cell sets and the trace are those
+  of sorting each split cell whole; only the order inside a fragment
+  differs.
 * **Search.**  To find an automorphism with r -> v, the partitions with r
   and with v individualised are refined in lock step: one vertex of a cell
   is individualised on the source side, and each vertex of the same cell in
@@ -30,10 +41,11 @@ from __future__ import annotations
 
 from .graph import Graph
 
-# A partition is (order, cell, size): ``order`` lists the vertices cell by
-# cell, ``cell[v]`` is the start index of v's cell and ``size[start]`` that
-# cell's length (meaningful at cell starts only).
-Partition = tuple[list[int], list[int], list[int]]
+# A partition is (order, cell, size, pos): ``order`` lists the vertices cell
+# by cell, ``cell[v]`` is the start index of v's cell, ``size[start]`` that
+# cell's length (meaningful at cell starts only) and ``pos[v]`` v's index in
+# ``order``.
+Partition = tuple[list[int], list[int], list[int], list[int]]
 
 
 def _refine(
@@ -44,7 +56,7 @@ def _refine(
     ``queue`` holds the starts of the splitter cells; the partition must
     already be equitable with respect to every cell not derivable from them.
     """
-    order, cell, size = part
+    order, cell, size, pos = part
     n = len(order)
     count = [0] * n
     hits = [0] * n
@@ -58,17 +70,24 @@ def _refine(
         head += 1
         queued[s] = False
         touched = []
+        starts = []
         for w in order[s : s + size[s]]:
             for u in adjacency[w]:
                 if not count[u]:
+                    # first hit: swap u into the touched tail of its cell
                     touched.append(u)
+                    c = cell[u]
+                    k = hits[c]
+                    if not k:
+                        starts.append(c)
+                    hits[c] = k + 1
+                    i, t = pos[u], c + size[c] - 1 - k
+                    x = order[t]
+                    order[i] = x
+                    pos[x] = i
+                    order[t] = u
+                    pos[u] = t
                 count[u] += 1
-        starts = []
-        for u in touched:
-            c = cell[u]
-            if not hits[c]:
-                starts.append(c)
-            hits[c] += 1
         starts.sort()
         for c in starts:
             sz = size[c]
@@ -76,35 +95,39 @@ def _refine(
             hits[c] = 0
             if sz == 1:
                 continue
-            members = order[c : c + sz]
+            # the k touched members fill the cell's tail; the rest, count 0,
+            # keep its start
+            tail = c + sz - k
+            members = order[tail : c + sz]
             if k == sz:
                 first = count[members[0]]
                 if all(count[u] == first for u in members):
                     continue
             members.sort(key=count.__getitem__)
-            order[c : c + sz] = members
-            # cut the sorted cell into fragments of equal count
+            order[tail : c + sz] = members
+            # cut the sorted tail into fragments of equal count
             trace.append(c)
-            frags = []  # (offset in the cell, length)
+            frags = []  # (start, length)
+            if k < sz:
+                frags.append((c, sz - k))
+                trace += (0, sz - k)
             begin = 0
-            for i in range(1, sz + 1):
-                if i == sz or count[members[i]] != count[members[begin]]:
-                    frags.append((begin, i - begin))
+            for i in range(1, k + 1):
+                if i == k or count[members[i]] != count[members[begin]]:
+                    frags.append((tail + begin, i - begin))
                     trace += (count[members[begin]], i - begin)
+                    for j in range(begin, i):
+                        u = members[j]
+                        pos[u] = tail + j
+                        cell[u] = tail + begin
                     begin = i
-            for begin, length in frags:
-                size[c + begin] = length
-                if begin:
-                    for u in members[begin : begin + length]:
-                        cell[u] = c + begin
-            if queued[c]:
-                skip = 0
-            else:
-                skip = max(frags, key=lambda f: f[1])[0]
-            for begin, _ in frags:
-                if begin != skip:
-                    queued[c + begin] = True
-                    queue.append(c + begin)
+            for start, length in frags:
+                size[start] = length
+            skip = c if queued[c] else max(frags, key=lambda f: f[1])[0]
+            for start, _ in frags:
+                if start != skip:
+                    queued[start] = True
+                    queue.append(start)
         for u in touched:
             count[u] = 0
     return trace
@@ -114,17 +137,20 @@ def _individualise(
     adjacency: tuple[tuple[int, ...], ...], part: Partition, v: int
 ) -> tuple[Partition, list[int]]:
     """A copy of ``part`` with v split off at the front of its cell, refined."""
-    order, cell, size = part[0][:], part[1][:], part[2][:]
+    order, cell, size, pos = (x[:] for x in part)
     c = cell[v]
     sz = size[c]
-    i = order.index(v, c, c + sz)
-    order[i] = order[c]
+    i = pos[v]
+    u = order[c]
+    order[i] = u
+    pos[u] = i
     order[c] = v
+    pos[v] = c
     size[c] = 1
     size[c + 1] = sz - 1
     for u in order[c + 1 : c + sz]:
         cell[u] = c + 1
-    child = (order, cell, size)
+    child = (order, cell, size, pos)
     return child, _refine(adjacency, child, [c])
 
 
@@ -195,9 +221,9 @@ def orbit_representatives(g: Graph) -> tuple[int, ...]:
     # The coarsest equitable partition refining the degree buckets: the
     # first splitter is the whole vertex set, so the first split cuts the
     # single cell into degree buckets.
-    base = (list(range(n)), [0] * n, [n] + [0] * (n - 1))
+    base = (list(range(n)), [0] * n, [n] + [0] * (n - 1), list(range(n)))
     _refine(g.adjacency, base, [0])
-    order, cell, size = base
+    order, cell, size, _ = base
     g_sets = [set(a) for a in g.adjacency]
     parent = list(range(n))
 

@@ -150,9 +150,10 @@ def reference_search(g, firsts, budget):
     It keeps marks unsigned, so a pinned gap is top minus bottom; it tests
     per neighbour whether the node places a top or a bottom mark, looks
     degrees up through the adjacency and finds clashes with a nested
-    ``any``, and builds each frame as a list, filtered at depth 1 to the
-    vertices numbered above the top.  It must still visit the same nodes, in
-    the same order, with the same count as the library search.
+    ``any``, and builds each frame as a list of every vertex, filtered at
+    depth 1 to the vertices numbered above the top, from which it skips the
+    placed ones.  It must still visit the same nodes, in the same order,
+    with the same count as the library search.
     """
     n, adj = g.n, g.adjacency
     marks = decision_marks(n)
@@ -459,6 +460,33 @@ def test_search_matches_the_reference_walk_at_corpus_sizes():
                 assert got.value.tried == exc.tried, sorted(g.edges)
             else:
                 assert _search(g, firsts, budget) == expected, sorted(g.edges)
+
+
+def test_linked_frames_match_the_scanning_walk_on_family_graphs():
+    # _search keeps the unplaced vertices in a linked list; the reference
+    # scans every vertex at every node.  The structured benchmark graphs and
+    # a few more path and cycle powers, walked to the end and cut off
+    # half-way by a budget.
+    graphs = [path_power(n, 2) for n in (300, 500, 800, 1200)]
+    graphs += [path_power(400, 3), cycle_power(120, 5), cycle_power(20, 6)]
+    graphs += [cycle_power(24, 7), complete_graph(30)]
+    graphs += [path_power(n, 2) for n in (7, 25, 101)]
+    graphs += [path_power(n, 3) for n in (6, 9, 40, 150)]
+    graphs += [cycle_power(n, 5) for n in (13, 25, 43, 65, 400)]
+    backtracked = 0
+    for g in graphs:
+        firsts = orbit_representatives(g)
+        # none needs more than 2,030 nodes
+        witness, tried = reference_search(g, firsts, 10_000)
+        assert _search(g, firsts, 10_000) == (witness, tried), g
+        backtracked += tried > g.n
+        budget = tried // 2
+        with pytest.raises(SearchBudgetExceeded) as expected:
+            reference_search(g, firsts, budget)
+        with pytest.raises(SearchBudgetExceeded) as got:
+            _search(g, firsts, budget)
+        assert got.value.tried == expected.value.tried, g
+    assert backtracked >= 5
 
 
 def test_search_node_counts_are_pinned():

@@ -8,6 +8,7 @@ from gaplab import (
     orbit_representatives,
     path_power,
 )
+from gaplab.symmetry import _individualise, _refine
 
 
 def disjoint_union(g, h):
@@ -290,6 +291,150 @@ def test_refinement_and_orbits_match_previous_code_oracle():
         assert {min(c) for c in colour_classes(old_degree_refinement(g))} <= set(reps)
         nontrivial += len(reps) < n
     assert nontrivial >= 30  # the sample exercises the search, not only discrete refinements
+
+
+def whole_cell_refine(adjacency, part, queue):
+    """``_refine`` as it was before the touched-only split: every split cell
+    is sorted whole by count, and every member's cell entry is rewritten."""
+    order, cell, size = part
+    n = len(order)
+    count = [0] * n
+    hits = [0] * n
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    trace = []
+    head = 0
+    while head < len(queue):
+        s = queue[head]
+        head += 1
+        queued[s] = False
+        touched = []
+        for w in order[s : s + size[s]]:
+            for u in adjacency[w]:
+                if not count[u]:
+                    touched.append(u)
+                count[u] += 1
+        starts = []
+        for u in touched:
+            c = cell[u]
+            if not hits[c]:
+                starts.append(c)
+            hits[c] += 1
+        starts.sort()
+        for c in starts:
+            sz = size[c]
+            k = hits[c]
+            hits[c] = 0
+            if sz == 1:
+                continue
+            members = order[c : c + sz]
+            if k == sz:
+                first = count[members[0]]
+                if all(count[u] == first for u in members):
+                    continue
+            members.sort(key=count.__getitem__)
+            order[c : c + sz] = members
+            trace.append(c)
+            frags = []
+            begin = 0
+            for i in range(1, sz + 1):
+                if i == sz or count[members[i]] != count[members[begin]]:
+                    frags.append((begin, i - begin))
+                    trace += (count[members[begin]], i - begin)
+                    begin = i
+            for begin, length in frags:
+                size[c + begin] = length
+                if begin:
+                    for u in members[begin : begin + length]:
+                        cell[u] = c + begin
+            skip = 0 if queued[c] else max(frags, key=lambda f: f[1])[0]
+            for begin, _ in frags:
+                if begin != skip:
+                    queued[c + begin] = True
+                    queue.append(c + begin)
+        for u in touched:
+            count[u] = 0
+    return trace
+
+
+def cell_list(order, cell, size):
+    """(start, size, members) per cell, checking every ``cell`` entry."""
+    cells = []
+    c = 0
+    while c < len(order):
+        members = order[c : c + size[c]]
+        assert all(cell[u] == c for u in members)
+        cells.append((c, size[c], frozenset(members)))
+        c += size[c]
+    return cells
+
+
+def assert_refinements_agree(g, order, cell, size):
+    old = (order[:], cell[:], size[:])
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    new = (order[:], cell[:], size[:], pos)
+    queue = [c for c in range(g.n) if cell[order[c]] == c]
+    assert _refine(g.adjacency, new, queue[:]) == whole_cell_refine(g.adjacency, old, queue[:])
+    assert cell_list(*new[:3]) == cell_list(*old)
+    assert all(new[0][new[3][v]] == v for v in range(g.n))
+    return new, old
+
+
+def random_regular(rng, n, d):
+    """A simple d-regular graph from the pairing model, redrawn on a clash."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
+        if len(edges) * 2 == n * d and all(u != v for u, v in edges):
+            return graph_from_edges(n, sorted(edges))
+
+
+def test_touched_only_split_matches_whole_cell_sort():
+    rng = random.Random(1919)
+    graphs = []
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4, 0.7))
+        graphs.append(graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    graphs += [path_power(n, k) for n, k in ((40, 1), (60, 2), (200, 2), (100, 3), (37, 5))]
+    graphs += [cycle_power(n, k) for n, k in ((40, 1), (30, 3), (120, 5), (24, 7))]
+    graphs += [random_regular(rng, n, d) for n, d in ((10, 3), (16, 3), (20, 4), (30, 5), (40, 3))]
+    graphs += [rook_graph_4x4(), shrikhande_graph(), petersen_graph()]
+    for g in graphs:
+        # the degree-bucket start: one cell, which the first split cuts by degree
+        new, old = assert_refinements_agree(g, list(range(g.n)), [0] * g.n, [g.n] + [0] * (g.n - 1))
+        # individualise a few vertices of non-singleton cells of the
+        # equitable partition, each side in its own order, and refine from
+        # the singleton
+        movable = [v for v in range(g.n) if old[2][old[1][v]] > 1]
+        for v in rng.sample(movable, min(len(movable), 4)):
+            old_order, old_cell, old_size = (x[:] for x in old)
+            c = old_cell[v]
+            sz = old_size[c]
+            i = old_order.index(v, c, c + sz)
+            old_order[i], old_order[c] = old_order[c], v
+            old_size[c], old_size[c + 1] = 1, sz - 1
+            for u in old_order[c + 1 : c + sz]:
+                old_cell[u] = c + 1
+            old_trace = whole_cell_refine(g.adjacency, (old_order, old_cell, old_size), [c])
+            child, trace = _individualise(g.adjacency, new, v)
+            assert trace == old_trace, (sorted(g.edges), v)
+            assert cell_list(*child[:3]) == cell_list(old_order, old_cell, old_size)
+            assert all(child[0][child[3][u]] == u for u in range(g.n))
+        # a random ordered partition, every cell a splitter
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
+        cell, size = [0] * g.n, [0] * g.n
+        for a, b in zip([0] + cuts, cuts + [g.n]):
+            size[a] = b - a
+            for u in perm[a:b]:
+                cell[u] = a
+        assert_refinements_agree(g, perm, cell, size)
 
 
 # --- the benchmark's family graphs -------------------------------------------
