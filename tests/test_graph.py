@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from gaplab import (
     MissingEdgeError,
     ParseError,
     complete_graph,
+    construct_upper,
     cycle_power,
     graph_from_edges,
     is_connected,
@@ -421,3 +423,102 @@ def test_whole_text_path_reads_what_serialize_graph_writes():
         header, _, body = text.partition("\n")
         assert graph_module._parse_whole(header + "\n\n" + body) == g
         assert graph_module._parse_whole("# note\n\n" + text.replace("\n", "\r\n\n\n")) == g
+
+
+def _defective_layout_text(rng):
+    """A serialize_graph text of 2 to 40 lines, with at most one defect of
+    _random_edge_text's kinds on a random line, and maybe CRLF line ends,
+    empty lines or no final newline."""
+    n = rng.randint(2, 14)
+    pool = list(combinations(range(n), 2))
+    edges = sorted(rng.sample(pool, rng.randint(0, min(len(pool), 39))))
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    i = rng.randrange(len(lines))
+    u, _, v = lines[i].partition(" ")
+    defect = rng.randrange(11)
+    if defect == 0 and i:  # a duplicate line
+        lines.insert(i, lines[i])
+    elif defect == 1 and 1 <= i < len(lines) - 1:  # two lines out of order
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif defect == 2:  # out of range
+        lines[i] = f"{u} {n + rng.randint(0, 1)}"
+    elif defect == 3:  # a missing field
+        lines[i] = rng.choice([u, f"{u} ", f" {v}"])
+    elif defect == 4:  # an extra field
+        lines[i] += " 0"
+    elif defect == 5:  # a leading zero
+        lines[i] = rng.choice([f"0{u} {v}", f"{u} 0{v}"])
+    elif defect == 6:  # empty digit runs that keep the layout and m
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = f"{u} ", " " + lines[j].partition(" ")[2]
+    elif defect == 7 and i:  # a self-loop, or the ends swapped
+        lines[i] = rng.choice([f"{u} {u}", f"{v} {u}"])
+    elif defect == 8 and not i:  # a wrong edge count
+        lines[i] = f"{n} {len(edges) + rng.choice([-1, 1])}"
+    ending = "\r\n" if rng.random() < 0.3 else "\n"
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lines.insert(rng.randrange(1, len(lines) + 1), "")
+    text = ending.join(lines)
+    return text if rng.random() < 0.2 else text + ending
+
+
+def test_block_reader_agrees_with_the_oracle_at_every_cut(monkeypatch):
+    # A 1-byte block ends after every line, and blocks of 3 to 23 bytes hold
+    # a few lines each, so each defect, empty line and CRLF lands at a cut,
+    # next to one and away from one, and rows are split across cuts.
+    # _LONG_ROW 0 reads every block as long rows, 10**9 as short rows.
+    rng = random.Random(2020)
+    read = 0
+    for case in range(700):
+        text = _defective_layout_text(rng)
+        expected = _parsed(_old_parse_graph, text)
+        for block in range(1, 24, 2):
+            monkeypatch.setattr(graph_module, "_BLOCK", block)
+            for long_row in (0, 10**9):
+                monkeypatch.setattr(graph_module, "_LONG_ROW", long_row)
+                got = _parsed(lambda t: _fields(parse_graph(t)), text)
+                assert got == expected, (case, block, long_row, text)
+                read += graph_module._parse_whole(text) is not None
+    assert read > 4000  # the block reader itself was exercised
+
+
+@pytest.mark.parametrize(
+    "text, block",
+    [
+        ("2 1\n 1\n", 1 << 16),
+        # Two empty runs in one block keep its token count even; cut after
+        # each line, the second one starts a block.
+        ("4 2\n0 \n 3\n", 1 << 16),
+        ("4 3\n0 1\n1 \n 3\n", 1),
+    ],
+)
+def test_empty_digit_runs_go_to_the_line_loop(monkeypatch, text, block):
+    monkeypatch.setattr(graph_module, "_BLOCK", block)
+    assert graph_module._parse_whole(text) is None
+    assert _parsed(parse_graph, text) == _parsed(_old_parse_graph, text)
+    assert _parsed(parse_graph, text)[0] == "error"
+
+
+def test_block_reader_reads_rows_and_texts_of_many_blocks():
+    removed = construct_upper(300).removed
+    for g in [remove_edges(complete_graph(300), removed), path_power(3000, 4), complete_graph(1)]:
+        text = serialize_graph(g)
+        assert graph_module._parse_whole(text) == g
+        assert graph_module._parse_whole(text.replace("\n", "\r\n")) == g
+        assert graph_module._parse_whole(text.replace("\n", "\n\n")[:-2]) == g
+
+
+def test_parse_graph_peak_memory_stays_within_four_graphs():
+    # Reading a whole text at once held every token, endpoint and sort key
+    # together: 7.2 and 4.3 times the graph on these two.
+    dense = remove_edges(complete_graph(600), construct_upper(600).removed)
+    for g in (dense, path_power(20000, 4)):
+        text = serialize_graph(g)
+        tracemalloc.start()
+        try:
+            parsed = parse_graph(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == g
+        assert peak <= 4 * retained, (g, peak / retained)
