@@ -29,7 +29,8 @@ vertex and updated only at the neighbours of each placed vertex, so a search
 node costs O(degree), and dense graphs are refuted after a couple of
 placements.  The search is one walk with an explicit stack, so its depth is
 not bounded by the interpreter's recursion limit; the stack's root frame
-tries the first mark on one vertex per automorphism orbit, and the frame
+tries the first mark on one vertex per twin class (vertices with equal open
+or equal closed neighbourhoods, which an automorphism swaps), and the frame
 below it only bottoms numbered above the top.  That second cut is exact
 because, by the clash rule, reversing the order of a valid mark labelling
 keeps it valid: the reversal only swaps the two ends of every extreme pair.
@@ -111,16 +112,21 @@ def _search(
     Every node entered counts once in ``tried``, so a budget spans every
     first vertex.
 
-    Precondition: ``firsts`` is every vertex, or the least member of each
-    automorphism orbit.  Trying each (top, bottom) pair once is then exact.
-    Reversing the vertex order keeps a mark labelling's verdict (see the
-    module docstring), so take a valid one with top t and bottom b, and an
-    automorphism taking t to r, the least member of t's orbit.  If it takes
-    b above r, the search tries that pair.  Otherwise reverse the order and
-    map the new top to the least member r2 of its orbit, so r2 < r.  The new
-    bottom lies in t's orbit, whose least member is r, so it is at least r,
-    above r2, and the search tries that pair.  With every vertex as a root,
-    r = t and one of the two orders has its bottom above its top.
+    Precondition: ``firsts`` contains the least member of each automorphism
+    orbit; more roots only add nodes.  Trying each (top, bottom) pair once
+    is then exact.  Reversing the vertex order keeps a mark labelling's
+    verdict (see the module docstring), so take a valid one with top t and
+    bottom b, and an automorphism taking t to r, the least member of t's
+    orbit.  If it takes b above r, the search tries that pair.  Otherwise
+    reverse the order and map the new top to the least member r2 of its
+    orbit, so r2 < r.  The new bottom lies in t's orbit, whose least member
+    is r, so it is at least r, above r2, and the search tries that pair.
+
+    ``decide`` roots the search at ``orbit_representatives``, the least
+    member of each twin class, and those contain every orbit minimum: a
+    twin swap is an automorphism, so the twin class T holding the least
+    member m of an automorphism orbit O lies inside O, and m = min O <=
+    min T <= m.
     """
     n, adj = g.n, g.adjacency
     marks = decision_marks(n)

@@ -338,7 +338,7 @@ def test_budget_is_enforced_and_reported():
 
 def test_budget_spans_every_first_vertex():
     # The least budget that does not run out is the node count of the whole
-    # decision, across every orbit representative the root tries.
+    # decision, across every twin-class root the search tries.
     rng = random.Random(31)
     graphs = [(outlier_graph(), 100_000)]  # 27,418 nodes
     graphs += [
@@ -462,6 +462,25 @@ def test_search_matches_the_reference_walk_at_corpus_sizes():
                 assert _search(g, firsts, budget) == expected, sorted(g.edges)
 
 
+def test_twin_roots_keep_every_verdict_on_all_order_six_graphs():
+    # Rooting at every vertex needs no symmetry argument, so it checks the
+    # twin roots on every connected labelled graph with six vertices.
+    pool = list(combinations(range(6), 2))
+    graphs = labelable = 0
+    for bits in range(1 << len(pool)):
+        g = graph_from_edges(6, [pool[i] for i in range(len(pool)) if bits >> i & 1])
+        if not is_connected(g):
+            continue
+        graphs += 1
+        witness, _ = _search(g, orbit_representatives(g), None)
+        every, _ = _search(g, range(6), None)
+        assert (witness is None) == (every is None), sorted(g.edges)
+        for w in (witness, every):
+            assert w is None or is_gap_labelling(g, w)[0], sorted(g.edges)
+        labelable += witness is not None
+    assert graphs == 26_704 and 0 < labelable < graphs
+
+
 def test_linked_frames_match_the_scanning_walk_on_family_graphs():
     # _search keeps the unplaced vertices in a linked list; the reference
     # scans every vertex at every node.  The structured benchmark graphs and
@@ -494,11 +513,14 @@ def test_search_node_counts_are_pinned():
         (path_power(500, 2), True, 500),
         (path_power(400, 3), True, 1123),
         (cycle_power(120, 5), True, 460),
-        (cycle_power(24, 7), False, 24),
+        # twin-free, so all 24 vertices are roots; root r enters 1 node plus
+        # 1 per bottom b > r, each refuted at once: 24 + 23 + ... + 1 = 300
+        (cycle_power(24, 7), False, 300),
         (complete_graph(30), False, 30),
         (outlier_graph(), True, 27418),
-        # roots 0, 1 and 2; the reversal break cut 18 nodes to 15
-        (path_power(6, 3), False, 15),
+        # roots 0, 1, 2, 4 and 5 (2 and 3 are closed twins); root r enters
+        # 1 + (5 - r) nodes: 6 + 5 + 4 + 2 + 1 = 18
+        (path_power(6, 3), False, 18),
     ]
     for g, labelable, nodes in cases:
         result = decide(g, budget=4 * nodes)

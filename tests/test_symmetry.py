@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from gaplab import (
     complete_graph,
@@ -8,49 +8,61 @@ from gaplab import (
     orbit_representatives,
     path_power,
 )
-from gaplab.symmetry import _individualise, _refine
 
 
 def disjoint_union(g, h):
     return graph_from_edges(g.n + h.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges])
 
 
+def apex(g):
+    """g plus one new vertex joined to every vertex of g."""
+    return graph_from_edges(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)])
+
+
 def test_orbits_complete_and_cycle():
+    # K_4: every closed neighbourhood is {0, 1, 2, 3}, one closed-twin class
     assert orbit_representatives(complete_graph(4)) == (0,)
-    assert orbit_representatives(cycle_power(6, 2)) == (0,)
+    # C_6^2: v is adjacent to all but v + 3, so N(v) = N(v + 3); open-twin
+    # classes {0, 3}, {1, 4} and {2, 5}
+    assert orbit_representatives(cycle_power(6, 2)) == (0, 1, 2)
 
 
 def test_orbits_path_mirror_pairs():
-    # orbits {0, 4}, {1, 3} and {2}
-    assert orbit_representatives(path_power(5, 1)) == (0, 1, 2)
+    # P_5: N(0) = {1} and N(4) = {3}, and no two closed neighbourhoods are
+    # equal, so all five vertices are roots.  The mirror pairs {0, 4} and
+    # {1, 3} are automorphism orbits, but not twin classes.
+    g = path_power(5, 1)
+    assert orbit_representatives(g) == (0, 1, 2, 3, 4)
+    assert set(least_members(brute_orbits(g))) == {0, 1, 2}
 
 
 def test_orbits_of_a_lopsided_tree():
-    # leaves 0 and 2 hang off vertex 1; leaf 4 hangs off vertex 3
+    # leaves 0 and 2 hang off vertex 1 (N(0) = N(2) = {1}); leaf 4 hangs
+    # off vertex 3
     g = graph_from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    # orbits {0, 2}, {1}, {3} and {4}
+    # classes {0, 2}, {1}, {3} and {4}
     assert orbit_representatives(g) == (0, 1, 3, 4)
 
 
 def test_orbits_of_hexagon_with_one_chord():
     g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
-    # orbits {0, 3} and {1, 2, 4, 5}
-    assert orbit_representatives(g) == (0, 1)
+    # the automorphism orbits are {0, 3} and {1, 2, 4, 5}, but N(0) = {1, 3, 5}
+    # and N(3) = {0, 2, 4}, and the degree-2 vertices have distinct
+    # neighbourhoods, so there are no twins
+    assert orbit_representatives(g) == tuple(range(6))
 
 
 def test_isomorphism_rejects_same_degree_sequence():
-    # 2-regular, so refinement leaves one cell; the search must find that no
-    # automorphism maps the hexagon onto the triangles
+    # 2-regular throughout: the hexagon has no twins, while each triangle is
+    # one closed-twin class; no class mixes the two components
     hexagon = cycle_power(6, 1)
     two_triangles = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     g = disjoint_union(hexagon, two_triangles)
-    assert orbit_representatives(g) == (0, 6)
+    assert orbit_representatives(g) == (0, 1, 2, 3, 4, 5, 6, 9)
 
 
 def brute_orbits(g):
     """Orbits as sorted vertex tuples, from every automorphism."""
-    from itertools import permutations
-
     parent = list(range(g.n))
 
     def find(a):
@@ -72,30 +84,68 @@ def brute_orbits(g):
     return sorted(tuple(sorted(o)) for o in orbits.values())
 
 
+def brute_twin_orbits(g):
+    """Orbits of the group generated by twin swaps, pair by pair.
+
+    The orbits of a group generated by transpositions are the components of
+    the graph of those transpositions.  Each swap is checked to be an
+    automorphism on the way.
+    """
+    parent = list(range(g.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    edges = set(g.edges)
+    for u, v in combinations(range(g.n), 2):
+        open_u, open_v = set(g.adjacency[u]), set(g.adjacency[v])
+        if open_u == open_v or open_u | {u} == open_v | {v}:
+            swap = list(range(g.n))
+            swap[u], swap[v] = v, u
+            assert {tuple(sorted((swap[a], swap[b]))) for a, b in edges} == edges
+            parent[find(v)] = find(u)
+    orbits = {}
+    for v in range(g.n):
+        orbits.setdefault(find(v), []).append(v)
+    return sorted(tuple(sorted(o)) for o in orbits.values())
+
+
 def least_members(orbits):
     return tuple(sorted(map(min, orbits)))
 
 
+def assert_roots(g):
+    """The roots are the twin-orbit minima and contain every orbit minimum."""
+    reps = orbit_representatives(g)
+    assert reps == least_members(brute_twin_orbits(g)), sorted(g.edges)
+    # decide's search needs only this: the least member of every
+    # automorphism orbit is among the roots
+    assert set(least_members(brute_orbits(g))) <= set(reps), sorted(g.edges)
+    return reps
+
+
 def test_orbits_match_brute_force_on_random_graphs():
     rng = random.Random(99)
-    for _ in range(60):
-        n = rng.randint(2, 6)
+    shrunk = 0
+    for _ in range(80):
+        n = rng.randint(2, 7)
         density = rng.choice((0.2, 0.5, 0.8))
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
         ]
-        g = graph_from_edges(n, edges)
-        # decide's reversal break needs each representative to be its
-        # orbit's least member; they come in ascending order
-        assert orbit_representatives(g) == least_members(brute_orbits(g)), sorted(g.edges)
+        shrunk += len(assert_roots(graph_from_edges(n, edges))) < n
+    assert shrunk >= 20  # the sample has twins, not only twin-free graphs
 
 
 def test_orbit_search_depth_is_not_bounded_by_recursion_limit():
-    # orbits {i, 1199 - i}
-    assert orbit_representatives(path_power(1200, 2)) == tuple(range(600))
+    # P_1200^2: N[v] is the interval [v - 2, v + 2] cut to 0..1199, a
+    # different interval for every v, and no two open neighbourhoods match
+    assert orbit_representatives(path_power(1200, 2)) == tuple(range(1200))
 
 
-# --- inputs where refinement alone does nothing ------------------------------
+# --- graphs whose automorphisms are not twin swaps ---------------------------
 
 
 def rook_graph_4x4():
@@ -126,39 +176,46 @@ def petersen_graph():
 def test_strongly_regular_pair_with_equal_parameters():
     rook, shrikhande = rook_graph_4x4(), shrikhande_graph()
     for g in (rook, shrikhande):
-        # strongly regular (16, 6, 2, 2): 6-regular, any two vertices share 2 neighbours
+        # strongly regular (16, 6, 2, 2): 6-regular, any two vertices share
+        # 2 neighbours, so twins (6 shared) do not occur and every vertex
+        # is a root, though both graphs are vertex-transitive
         assert {g.degree(v) for v in range(16)} == {6}
         assert all(
             len(set(g.adjacency[a]) & set(g.adjacency[b])) == 2
             for a, b in combinations(range(16), 2)
         )
-        assert orbit_representatives(g) == (0,)
+        assert orbit_representatives(g) == tuple(range(16))
 
 
-def test_search_backtracks_across_equal_traces():
-    # Individualising a vertex refines both components the same way, so a
-    # wrong first choice survives the trace check and must be backtracked.
+def test_apexed_strongly_regular_unions_are_answered():
+    # apex(rook ∪ Shrikhande) ∪ apex(rook ∪ rook), 66 vertices: the two
+    # apexes are adjacent to 32 vertices each and the rest keep the
+    # strongly regular graphs' 2 common neighbours plus the apex, so there
+    # are no twins.
     rook, shrikhande = rook_graph_4x4(), shrikhande_graph()
-    g = disjoint_union(rook, shrikhande)
-    assert orbit_representatives(g) == (0, 16)
+    g = disjoint_union(apex(disjoint_union(rook, shrikhande)), apex(disjoint_union(rook, rook)))
+    assert g.n == 66
+    assert orbit_representatives(g) == tuple(range(66))
 
 
 def test_petersen_graph_is_vertex_transitive():
+    # vertex-transitive, but girth 5: two vertices share at most one
+    # neighbour, so no two of degree 3 are twins and every vertex is a root
     g = petersen_graph()
-    assert orbit_representatives(g) == (0,)
-    # the pentagonal prism is 3-regular, triangle-free and vertex-transitive
-    # too, but has 4-cycles, so no automorphism of the union mixes the two
+    assert orbit_representatives(g) == tuple(range(10))
     prism = graph_from_edges(
         10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     )
-    assert orbit_representatives(disjoint_union(g, prism)) == (0, 10)
+    assert orbit_representatives(disjoint_union(g, prism)) == tuple(range(20))
 
 
 def test_eight_cycle_is_not_two_four_cycles():
+    # C_8 has no twins; in each C_4 the opposite corners share both
+    # neighbours, giving open-twin classes {8, 10}, {9, 11}, {12, 14}, {13, 15}
     two_squares = graph_from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
     g = disjoint_union(cycle_power(8, 1), two_squares)
-    assert orbit_representatives(g) == (0, 8)
+    assert orbit_representatives(g) == tuple(range(8)) + (8, 9, 12, 13)
 
 
 # --- oracles -----------------------------------------------------------------
@@ -168,8 +225,7 @@ def test_orbits_match_brute_force_on_every_graph_up_to_five_vertices():
     for n in range(1, 6):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
-            g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            assert orbit_representatives(g) == least_members(brute_orbits(g)), sorted(g.edges)
+            assert_roots(graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
 
 
 def old_degree_refinement(g):
@@ -233,7 +289,7 @@ def old_extend_map(g, h, gc, hc, seed):
 
 
 def old_automorphism_orbits(g):
-    """The orbit computation this module used before the refinement search."""
+    """Automorphism orbits by colour refinement and backtracking, no pruning."""
     colours = old_degree_refinement(g)
     parent = list(range(g.n))
 
@@ -278,6 +334,10 @@ def colour_classes(colours):
 
 
 def test_refinement_and_orbits_match_previous_code_oracle():
+    # Beyond brute-force sizes, the automorphism orbits come from the
+    # backtracking oracle above; the roots must hold each orbit's least
+    # member, and so each stable colour class's least member (orbits refine
+    # the stable colouring)
     rng = random.Random(2025)
     nontrivial = 0
     for _ in range(300):
@@ -285,166 +345,30 @@ def test_refinement_and_orbits_match_previous_code_oracle():
         p = rng.choice((0.2, 0.4, 0.6, 0.8))
         g = graph_from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
         reps = orbit_representatives(g)
-        assert reps == least_members(old_automorphism_orbits(g)), sorted(g.edges)
-        # orbits refine the stable colouring, so each colour class's least
-        # member is the least member of its orbit too
+        assert reps == least_members(brute_twin_orbits(g)), sorted(g.edges)
+        orbits = old_automorphism_orbits(g)
+        assert set(least_members(orbits)) <= set(reps), sorted(g.edges)
         assert {min(c) for c in colour_classes(old_degree_refinement(g))} <= set(reps)
-        nontrivial += len(reps) < n
-    assert nontrivial >= 30  # the sample exercises the search, not only discrete refinements
-
-
-def whole_cell_refine(adjacency, part, queue):
-    """``_refine`` as it was before the touched-only split: every split cell
-    is sorted whole by count, and every member's cell entry is rewritten."""
-    order, cell, size = part
-    n = len(order)
-    count = [0] * n
-    hits = [0] * n
-    queued = [False] * n
-    for s in queue:
-        queued[s] = True
-    trace = []
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        queued[s] = False
-        touched = []
-        for w in order[s : s + size[s]]:
-            for u in adjacency[w]:
-                if not count[u]:
-                    touched.append(u)
-                count[u] += 1
-        starts = []
-        for u in touched:
-            c = cell[u]
-            if not hits[c]:
-                starts.append(c)
-            hits[c] += 1
-        starts.sort()
-        for c in starts:
-            sz = size[c]
-            k = hits[c]
-            hits[c] = 0
-            if sz == 1:
-                continue
-            members = order[c : c + sz]
-            if k == sz:
-                first = count[members[0]]
-                if all(count[u] == first for u in members):
-                    continue
-            members.sort(key=count.__getitem__)
-            order[c : c + sz] = members
-            trace.append(c)
-            frags = []
-            begin = 0
-            for i in range(1, sz + 1):
-                if i == sz or count[members[i]] != count[members[begin]]:
-                    frags.append((begin, i - begin))
-                    trace += (count[members[begin]], i - begin)
-                    begin = i
-            for begin, length in frags:
-                size[c + begin] = length
-                if begin:
-                    for u in members[begin : begin + length]:
-                        cell[u] = c + begin
-            skip = 0 if queued[c] else max(frags, key=lambda f: f[1])[0]
-            for begin, _ in frags:
-                if begin != skip:
-                    queued[c + begin] = True
-                    queue.append(c + begin)
-        for u in touched:
-            count[u] = 0
-    return trace
-
-
-def cell_list(order, cell, size):
-    """(start, size, members) per cell, checking every ``cell`` entry."""
-    cells = []
-    c = 0
-    while c < len(order):
-        members = order[c : c + size[c]]
-        assert all(cell[u] == c for u in members)
-        cells.append((c, size[c], frozenset(members)))
-        c += size[c]
-    return cells
-
-
-def assert_refinements_agree(g, order, cell, size):
-    old = (order[:], cell[:], size[:])
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    new = (order[:], cell[:], size[:], pos)
-    queue = [c for c in range(g.n) if cell[order[c]] == c]
-    assert _refine(g.adjacency, new, queue[:]) == whole_cell_refine(g.adjacency, old, queue[:])
-    assert cell_list(*new[:3]) == cell_list(*old)
-    assert all(new[0][new[3][v]] == v for v in range(g.n))
-    return new, old
-
-
-def random_regular(rng, n, d):
-    """A simple d-regular graph from the pairing model, redrawn on a clash."""
-    while True:
-        points = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(points)
-        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
-        if len(edges) * 2 == n * d and all(u != v for u, v in edges):
-            return graph_from_edges(n, sorted(edges))
-
-
-def test_touched_only_split_matches_whole_cell_sort():
-    rng = random.Random(1919)
-    graphs = []
-    for _ in range(150):
-        n = rng.randint(1, 40)
-        p = rng.choice((0.05, 0.1, 0.2, 0.4, 0.7))
-        graphs.append(graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
-    graphs += [path_power(n, k) for n, k in ((40, 1), (60, 2), (200, 2), (100, 3), (37, 5))]
-    graphs += [cycle_power(n, k) for n, k in ((40, 1), (30, 3), (120, 5), (24, 7))]
-    graphs += [random_regular(rng, n, d) for n, d in ((10, 3), (16, 3), (20, 4), (30, 5), (40, 3))]
-    graphs += [rook_graph_4x4(), shrikhande_graph(), petersen_graph()]
-    for g in graphs:
-        # the degree-bucket start: one cell, which the first split cuts by degree
-        new, old = assert_refinements_agree(g, list(range(g.n)), [0] * g.n, [g.n] + [0] * (g.n - 1))
-        # individualise a few vertices of non-singleton cells of the
-        # equitable partition, each side in its own order, and refine from
-        # the singleton
-        movable = [v for v in range(g.n) if old[2][old[1][v]] > 1]
-        for v in rng.sample(movable, min(len(movable), 4)):
-            old_order, old_cell, old_size = (x[:] for x in old)
-            c = old_cell[v]
-            sz = old_size[c]
-            i = old_order.index(v, c, c + sz)
-            old_order[i], old_order[c] = old_order[c], v
-            old_size[c], old_size[c + 1] = 1, sz - 1
-            for u in old_order[c + 1 : c + sz]:
-                old_cell[u] = c + 1
-            old_trace = whole_cell_refine(g.adjacency, (old_order, old_cell, old_size), [c])
-            child, trace = _individualise(g.adjacency, new, v)
-            assert trace == old_trace, (sorted(g.edges), v)
-            assert cell_list(*child[:3]) == cell_list(old_order, old_cell, old_size)
-            assert all(child[0][child[3][u]] == u for u in range(g.n))
-        # a random ordered partition, every cell a splitter
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
-        cell, size = [0] * g.n, [0] * g.n
-        for a, b in zip([0] + cuts, cuts + [g.n]):
-            size[a] = b - a
-            for u in perm[a:b]:
-                cell[u] = a
-        assert_refinements_agree(g, perm, cell, size)
+        nontrivial += len(orbits) < n
+    assert nontrivial >= 30  # the sample has non-trivial automorphism orbits
 
 
 # --- the benchmark's family graphs -------------------------------------------
 
 
 def test_orbits_of_vertex_transitive_family_graphs():
-    for g in (cycle_power(120, 5), cycle_power(20, 6), cycle_power(24, 7), complete_graph(30)):
-        assert orbit_representatives(g) == (0,), g
+    # For n > 2k + 2, N[v] in C_n^k is the arc v - k..v + k, a different arc
+    # for every v, and no two open neighbourhoods match: every vertex is a
+    # root.  K_30 is one closed-twin class.
+    for g in (cycle_power(120, 5), cycle_power(20, 6), cycle_power(24, 7)):
+        assert orbit_representatives(g) == tuple(range(g.n)), g
+    assert orbit_representatives(complete_graph(30)) == (0,)
 
 
 def test_orbits_of_path_power_are_mirror_pairs():
-    # orbits {i, 399 - i}
-    assert orbit_representatives(path_power(400, 3)) == tuple(range(200))
+    # The automorphism orbits of P_400^3 are the mirror pairs {i, 399 - i},
+    # whose least members 0..199 are roots; no two vertices are twins, so
+    # 200..399 are roots too.
+    assert orbit_representatives(path_power(400, 3)) == tuple(range(400))
+    # P_6^3: N[2] = N[3] = {0, ..., 5}, one closed-twin class
+    assert orbit_representatives(path_power(6, 3)) == (0, 1, 2, 4, 5)
