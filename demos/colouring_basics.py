@@ -24,7 +24,7 @@ print("triangle edge list:")
 print(serialize_graph(triangle))
 print("labels:  ", labels)
 print("colours: ", induced_colouring(triangle, labels))
-ok, report = is_gap_labelling(triangle, labels)
+ok, _ = is_gap_labelling(triangle, labels)
 print("proper?  ", ok)
 print()
 
@@ -35,8 +35,8 @@ print("star labels (5, 1, 1, 1) ->", induced_colouring(star, (5, 1, 1, 1)))
 print()
 
 # Not every labelling works.  Consecutive labels on a triangle collide:
-ok, report = is_gap_labelling(triangle, (1, 2, 3))
-print("triangle with labels (1, 2, 3):", "proper" if ok else f"improper, {report}")
+ok, conflicts = is_gap_labelling(triangle, (1, 2, 3))
+print("triangle with labels (1, 2, 3):", "proper" if ok else f"improper, conflicts: {', '.join(map(str, conflicts))}")
 print()
 
 # The second power of the four-vertex path admits the labelling (2, 1, 4, 2).

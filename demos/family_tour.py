@@ -46,6 +46,6 @@ print("  valid:", is_gap_labelling(cycle_power(9, 2), labels)[0])
 print()
 print("refutation evidence for C_8^3 (not labelable):")
 evidence = refute_witness(FamilySpec(CYCLE_POWER, 8, 3))
-print("  placements covered:", len(evidence.pairs))
-(a, b), (u, w) = next(iter(sorted(evidence.pairs.items())))
+print("  placements covered:", len(evidence))
+(a, b), (u, w) = next(iter(sorted(evidence.items())))
 print(f"  e.g. extremes at ({a}, {b}) force equal colours on adjacent pair ({u}, {w})")

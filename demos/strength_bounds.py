@@ -28,15 +28,15 @@ print("lower-bound table (first rows):")
 print("\n".join(emit_tables(12).splitlines()[:10]))
 
 print()
-report = check_bounds(218)
-print(f"power-law floors hold up to n={report.n_max}: {report.ok}")
+violation = check_bounds(218)
+print(f"power-law floors hold up to n=218: {violation is None}")
 
 print()
 print("the peeling construction on K_15:")
 built = construct_upper(15)
-for order, i, x in built.plan.trace():
+for order, i, x in built.plan.steps:
     print(f"  round: order={order} independent={i} tail={x}")
-print(f"  removed {built.total_removed} edges")
+print(f"  removed {len(built.removed)} edges")
 g = remove_edges(complete_graph(15), built.removed)
 print("  labelling valid:", is_gap_labelling(g, built.labelling)[0])
 
@@ -44,7 +44,7 @@ print()
 print("sandwich at tiny orders (lower <= exact <= construction):")
 lower = general_lb(6)
 for n in (4, 5, 6):
-    print(f"  n={n}: {lower[n]} <= {exact_strength(n)} <= {construct_upper(n).total_removed}")
+    print(f"  n={n}: {lower[n]} <= {exact_strength(n)} <= {len(construct_upper(n).removed)}")
 
 print()
 big = removal_schedule(4000)

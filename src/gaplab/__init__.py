@@ -23,7 +23,6 @@ from .families import (
     COMPLETE,
     CYCLE_POWER,
     PATH_POWER,
-    ConflictEvidence,
     FamilySpec,
     build_family,
     construct_complete_labelling,
@@ -48,7 +47,6 @@ from .graph import (
 )
 from .labelling import (
     Colouring,
-    ConflictReport,
     Labelling,
     induced_colouring,
     is_gap_labelling,
@@ -57,9 +55,7 @@ from .labelling import (
     validate_labelling,
 )
 from .strength import (
-    BoundCheck,
     RemovalPlan,
-    RemovalStep,
     UpperBoundConstruction,
     check_bounds,
     construct_upper,

@@ -89,12 +89,12 @@ def _cmd_label(args) -> int:
 def _cmd_verify(args) -> int:
     g = parse_graph(_read(args.graph))
     labels = parse_labelling(_read(args.labels))
-    ok, report = is_gap_labelling(g, labels)
+    ok, conflicts = is_gap_labelling(g, labels)
     if ok:
         print("VALID")
         return 0
     print("INVALID")
-    for u, v in report.conflicts:
+    for u, v in conflicts:
         print(f"conflict {u} {v}")
     return 1
 
@@ -123,9 +123,9 @@ def _cmd_strength_lb(args) -> int:
 
 def _cmd_strength_ub(args) -> int:
     built = construct_upper(args.n)
-    for order, i, x in built.plan.trace():
+    for order, i, x in built.plan.steps:
         print(f"iteration: n={order} i={i} x={x}")
-    print(f"removed: {built.total_removed}")
+    print(f"removed: {len(built.removed)}")
     ledger = removed_edge_ledger(args.n, built.removed)
     labels = serialize_labelling(built.labelling)
     if args.output:

@@ -30,12 +30,13 @@ class UnsupportedInputError(GapLabError):
 class InvalidLabellingError(GapLabError):
     """A transform received a labelling that is not a valid gap labelling.
 
-    ``report`` holds the conflicting edges when the failure is a colour clash.
+    ``conflicts`` holds the conflicting edges when the failure is a colour
+    clash.
     """
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, conflicts=None):
         super().__init__(message)
-        self.report = report
+        self.conflicts = conflicts
 
 
 class DomainError(GapLabError):

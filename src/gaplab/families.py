@@ -113,24 +113,15 @@ def construct_cycle_power_labelling(n: int, k: int) -> Labelling:
     return tuple(1 << i if i < half else 1 << (half + n - i) for i in range(n))
 
 
-@dataclass(frozen=True)
-class ConflictEvidence:
+def refute_witness(spec: FamilySpec) -> dict[tuple[int, int], tuple[int, int]]:
     """Per extremal placement, an adjacent pair forced to share a colour.
 
-    ``pairs[(a, b)] = (u, w)`` certifies: if vertex a holds the unique
-    largest label and b the unique smallest, then u and w are adjacent and
-    both have a and b among their neighbours, so both are coloured by the
-    same gap.  Covering every ordered placement (a, b) refutes labelability,
-    since any valid labelling could be made injective first;
-    ``refute_witness`` returns evidence only when it covers all n(n - 1).
-    """
-
-    spec: FamilySpec
-    pairs: dict[tuple[int, int], tuple[int, int]]
-
-
-def refute_witness(spec: FamilySpec) -> ConflictEvidence:
-    """Exhaustive conflict evidence for a non-labelable family member.
+    An entry (a, b) -> (u, w) certifies: if vertex a holds the unique largest
+    label and b the unique smallest, then u and w are adjacent and both have
+    a and b among their neighbours, so both are coloured by the same gap.
+    The dict covers every ordered placement (a, b), all n(n - 1) of them,
+    which refutes labelability, since any valid labelling could be made
+    injective first.
 
     Raises DomainError for labelable parameters, and RuntimeError if some
     placement admits no conflict pair (which would mean this certificate
@@ -156,7 +147,7 @@ def refute_witness(spec: FamilySpec) -> ConflictEvidence:
                     "refutation by shared-gap evidence is inconclusive"
                 )
             pairs[(a, b)] = found
-    return ConflictEvidence(spec=spec, pairs=pairs)
+    return pairs
 
 
 # family -> (generator, predicate, labelling), each taking (n,) for the

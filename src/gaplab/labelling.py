@@ -22,29 +22,11 @@ that limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError, UnsupportedInputError
 from .graph import Edge, Graph
 
 Labelling = tuple[int, ...]
 Colouring = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ConflictReport:
-    """All edges whose endpoints received the same induced colour."""
-
-    conflicts: tuple[Edge, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.conflicts
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "no conflicts"
-        return "conflicts: " + ", ".join(f"({u}, {v})" for u, v in self.conflicts)
 
 
 def validate_labelling(g: Graph, labels) -> Labelling:
@@ -109,14 +91,15 @@ def _first_neighbour_labels(adjacency, labels: Labelling, order) -> list[int]:
     return found
 
 
-def is_gap_labelling(g: Graph, labels) -> tuple[bool, ConflictReport]:
-    """True plus an empty report iff the induced colouring is proper.
+def is_gap_labelling(g: Graph, labels) -> tuple[bool, tuple[Edge, ...]]:
+    """(ok, conflicts): ok is True, and conflicts empty, iff the induced
+    colouring is proper.
 
     Only vertices of one colour can conflict, so each member u of a colour
     class of two or more vertices is checked against the rest of its class
     from the smaller side: a class smaller than u's degree looks each later
     member up in u's sorted neighbour tuple, and a larger one is intersected
-    with u's neighbours.  The report lists every conflicting edge in
+    with u's neighbours.  ``conflicts`` lists every conflicting edge in
     lexicographic order, not just the first, so test failures show the
     whole picture.
     """
@@ -135,7 +118,7 @@ def is_gap_labelling(g: Graph, labels) -> tuple[bool, ConflictReport]:
                 else:
                     conflicts.extend((u, w) for w in same.intersection(nbrs) if u < w)
     conflicts.sort()
-    return not conflicts, ConflictReport(tuple(conflicts))
+    return not conflicts, tuple(conflicts)
 
 
 def _int(token: str) -> int:

@@ -13,8 +13,9 @@ a gap labelling?  Three attacks on that number live here:
   independent set and a detached "low" vertex, removing at most 3*n*sqrt(n)
   edges in total, and label the result with powers of two.  One loop,
   ``removal_schedule``, decides the rounds; the vertices left after each
-  round are a contiguous range, so its sets are ranges, and
-  ``construct_upper`` only labels them and lists the removed edges.
+  round are a contiguous range, so a round is the triple of its sizes, and
+  ``construct_upper`` derives the sets from it, labels them and lists the
+  removed edges.
 
 All arithmetic is on integers, with no floating point anywhere: the bound
 checks compare integer powers, and the rendered power-law column is rounded
@@ -83,32 +84,6 @@ def restricted_lb(n_max: int) -> tuple[int, ...]:
     return tuple(lp[: n_max + 1])
 
 
-def _general_lb(lp: tuple[int, ...]) -> tuple[int, ...]:
-    """``general_lb`` from an already computed l' table of the same length."""
-    n_max = len(lp) - 1
-    if n_max < 4:
-        return tuple([0] * (n_max + 1))
-    size = n_max - 1  # largest x+y+z+i we ever split
-    cost_one = [x + lp[x + 1] for x in range(size)]
-    for x in range(1, size - 1):
-        if cost_one[x - 1] + cost_one[x + 1] < 2 * cost_one[x]:
-            raise RuntimeError(f"l' is not convex: l'(n-1) + l'(n+1) < 2 l'(n) at n = {x + 1}")
-    # For convex cost_one, cost_one[x] + cost_one[s - x] is least at x = s // 2.
-    best_xy = [cost_one[s // 2] + cost_one[s - s // 2] for s in range(size)]
-    # Min-plus convolution with binom(i, 2): merge best_xy's slopes with
-    # binom's 0, 1, 2, ...
-    best_xyi = [best_xy[0]]
-    _merge_slopes(best_xyi, size - 1, lambda a: best_xy[a + 1] - best_xy[a], lambda b: b)
-    general = [0, 0, best_xyi[0]]
-    _merge_slopes(
-        general,
-        n_max - 2,
-        lambda a: 2 + general[a + 1] - general[a],
-        lambda b: best_xyi[b + 1] - best_xyi[b],
-    )
-    return tuple(general)
-
-
 def general_lb(n_max: int) -> tuple[int, ...]:
     """Table L[0..n_max] lower-bounding the strength of K_n.
 
@@ -133,7 +108,28 @@ def general_lb(n_max: int) -> tuple[int, ...]:
 
     Exact, in O(n_max).
     """
-    return _general_lb(restricted_lb(n_max))
+    lp = restricted_lb(n_max)
+    if n_max < 4:
+        return tuple([0] * (n_max + 1))
+    size = n_max - 1  # largest x+y+z+i we ever split
+    cost_one = [x + lp[x + 1] for x in range(size)]
+    for x in range(1, size - 1):
+        if cost_one[x - 1] + cost_one[x + 1] < 2 * cost_one[x]:
+            raise RuntimeError(f"l' is not convex: l'(n-1) + l'(n+1) < 2 l'(n) at n = {x + 1}")
+    # For convex cost_one, cost_one[x] + cost_one[s - x] is least at x = s // 2.
+    best_xy = [cost_one[s // 2] + cost_one[s - s // 2] for s in range(size)]
+    # Min-plus convolution with binom(i, 2): merge best_xy's slopes with
+    # binom's 0, 1, 2, ...
+    best_xyi = [best_xy[0]]
+    _merge_slopes(best_xyi, size - 1, lambda a: best_xy[a + 1] - best_xy[a], lambda b: b)
+    general = [0, 0, best_xyi[0]]
+    _merge_slopes(
+        general,
+        n_max - 2,
+        lambda a: 2 + general[a + 1] - general[a],
+        lambda b: best_xyi[b + 1] - best_xyi[b],
+    )
+    return tuple(general)
 
 
 def _iroot5(m: int) -> int:
@@ -170,27 +166,22 @@ def power_law_column(n_max: int) -> tuple[Decimal, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    n_max: int
-    ok: bool
-    first_violation: tuple[str, int] | None
-
-
-def check_bounds(n_max: int) -> BoundCheck:
+def check_bounds(n_max: int) -> tuple[str, int] | None:
     """Verify both power-law floors with exact integer comparisons.
 
     l'(n) >= n^{3/2}/10 is checked as (10*l')^2 >= n^3 and
     L(n) >= (3/100) n^{6/5} as (100*L)^5 >= 3^5 * n^6, for 4 <= n <= n_max.
+    Returns None when both hold, else the first violation, ("lprime", n) or
+    ("general", n).
     """
     lp = restricted_lb(n_max)
-    general = _general_lb(lp)
+    general = general_lb(n_max)
     for n in range(4, n_max + 1):
         if (10 * lp[n]) ** 2 < n**3:
-            return BoundCheck(n_max, False, ("lprime", n))
+            return ("lprime", n)
         if (100 * general[n]) ** 5 < 3**5 * n**6:
-            return BoundCheck(n_max, False, ("general", n))
-    return BoundCheck(n_max, True, None)
+            return ("general", n)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +218,9 @@ def exact_strength(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class RemovalStep:
-    """One round of the recursive split: sizes, the low vertex, and the sets.
-
-    The round's vertices other than the hub are the contiguous range
-    low_vertex..n-1, so ``independent_set`` and ``tail`` are ranges.
-    """
-
-    order: int  # n_j entering this round
-    independent_size: int  # i_j
-    tail_size: int  # x_j
-    low_vertex: int
-    independent_set: range
-    tail: range
-
-
-@dataclass(frozen=True)
 class RemovalPlan:
-    steps: tuple[RemovalStep, ...]
+    steps: tuple[tuple[int, int, int], ...]  # (n_j, i_j, x_j) per round
     total_removed: int
-
-    def trace(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((s.order, s.independent_size, s.tail_size) for s in self.steps)
 
 
 @dataclass(frozen=True)
@@ -257,21 +229,17 @@ class UpperBoundConstruction:
     labelling: Labelling
     plan: RemovalPlan
 
-    @property
-    def total_removed(self) -> int:
-        return self.plan.total_removed
-
 
 def removal_schedule(n: int) -> RemovalPlan:
     """The rounds of the construction on K_n, the one place they are decided.
 
     Round j enters with n_j vertices: the hub 0 and V_j, a contiguous range
-    start..n-1 (V_1 = 1..n-1).  It detaches the low vertex ``start``, makes
-    the next i_j = floor(sqrt(n_j)) vertices independent, and keeps the
-    x_j = n_j - i_j - 2 after them as the tail, removing x_j + binom(i_j, 2)
-    edges.  A tail of three or more is V_{j+1}, so n_{j+1} = x_j + 1;
-    otherwise the rounds stop.  Each step is built in O(1), its sets as
-    ranges.
+    start..n-1 (V_1 = 1..n-1), so start = n + 1 - n_j.  It detaches the low
+    vertex ``start``, makes the next i_j = floor(sqrt(n_j)) vertices
+    independent, and keeps the x_j = n_j - i_j - 2 after them as the tail,
+    removing x_j + binom(i_j, 2) edges.  A tail of three or more is V_{j+1},
+    so n_{j+1} = x_j + 1; otherwise the rounds stop.  Each step is the
+    triple (n_j, i_j, x_j), from which the sets follow.
     """
     if n < 4:
         raise ValueError(f"construction needs n >= 4, got {n}")
@@ -285,12 +253,11 @@ def removal_schedule(n: int) -> RemovalPlan:
         # unchanged and the final tail keeps 1 or 2 vertices.
         i = isqrt(order) if order > 4 else 1
         x = order - i - 2
-        cut = start + 1 + i
-        steps.append(RemovalStep(order, i, x, start, range(start + 1, cut), range(cut, n)))
+        steps.append((order, i, x))
         total += x + i * (i - 1) // 2
         if x < 3:
             break
-        start = cut
+        start += 1 + i
     return RemovalPlan(tuple(steps), total)
 
 
@@ -307,14 +274,16 @@ def construct_upper(n: int) -> UpperBoundConstruction:
     labels = [0] * n
     labels[0] = 1 << (n - 1)
     removed: list[Edge] = []
-    for j, step in enumerate(plan.steps):
-        low = step.low_vertex
+    for j, (order, i, _) in enumerate(plan.steps):
+        low = n + 1 - order
+        independent = range(low + 1, low + 1 + i)
+        tail = range(low + 1 + i, n)
         labels[low] = 1 << j
-        for v in step.independent_set:
+        for v in independent:
             labels[v] = 1 << (n - 2)
-        removed.extend((low, v) for v in step.tail)
-        removed.extend(combinations(step.independent_set, 2))
-    for j, v in enumerate(plan.steps[-1].tail, start=len(plan.steps)):
+        removed.extend((low, v) for v in tail)
+        removed.extend(combinations(independent, 2))
+    for j, v in enumerate(tail, start=len(plan.steps)):  # the last round's tail
         labels[v] = 1 << j
     return UpperBoundConstruction(tuple(sorted(removed)), tuple(labels), plan)
 
@@ -326,7 +295,7 @@ def construct_upper(n: int) -> UpperBoundConstruction:
 def emit_tables(n_max: int) -> str:
     """CSV with columns n, lprime, general, omega for 4 <= n <= n_max."""
     lprime = restricted_lb(n_max)
-    general = _general_lb(lprime)
+    general = general_lb(n_max)
     omega = power_law_column(n_max)
     lines = ["n,lprime,general,omega"]
     for n in range(4, n_max + 1):

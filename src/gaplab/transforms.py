@@ -69,10 +69,11 @@ def is_golomb_ruler(marks) -> bool:
 
 def _require_valid(g: Graph, labels) -> Labelling:
     labels = tuple(labels)
-    ok, report = is_gap_labelling(g, labels)
+    ok, conflicts = is_gap_labelling(g, labels)
     if not ok:
+        listed = ", ".join(f"({u}, {v})" for u, v in conflicts)
         raise InvalidLabellingError(
-            f"input is not a valid gap labelling ({report})", report=report
+            f"input is not a valid gap labelling (conflicts: {listed})", conflicts=conflicts
         )
     return labels
 
@@ -99,21 +100,23 @@ def distinctify(g: Graph, labels) -> Labelling:
     return tuple(out)
 
 
-def _require_distinct(labels: Labelling) -> None:
+def _relabel_by_rank(g: Graph, labels, values) -> Labelling:
+    """Send the vertex of rank i to ``values[i]``; the labels must be valid
+    and pairwise distinct."""
+    labels = _require_valid(g, labels)
     if len(set(labels)) != len(labels):
         raise InvalidLabellingError(
             "labels must be pairwise distinct; apply distinctify first"
         )
+    out = [0] * g.n
+    for rank, v in enumerate(_ranks(labels)):
+        out[v] = values[rank]
+    return tuple(out)
 
 
 def power_two_relabel(g: Graph, labels) -> Labelling:
     """Send the vertex with the i-th smallest label to 2**i."""
-    labels = _require_valid(g, labels)
-    _require_distinct(labels)
-    out = [0] * g.n
-    for rank, v in enumerate(_ranks(labels)):
-        out[v] = 1 << rank
-    return tuple(out)
+    return _relabel_by_rank(g, labels, [1 << i for i in range(g.n)])
 
 
 def decision_marks(n: int) -> tuple[int, ...]:
@@ -125,10 +128,4 @@ def decision_marks(n: int) -> tuple[int, ...]:
 
 def golomb_relabel(g: Graph, labels) -> Labelling:
     """Send the vertex of rank i to ``decision_marks(n)[i]``."""
-    labels = _require_valid(g, labels)
-    _require_distinct(labels)
-    marks = decision_marks(g.n)
-    out = [0] * g.n
-    for rank, v in enumerate(_ranks(labels)):
-        out[v] = marks[rank]
-    return tuple(out)
+    return _relabel_by_rank(g, labels, decision_marks(g.n))

@@ -250,7 +250,7 @@ def test_07_lower_bound_tables_dominate_power_laws():
         for n in range(4, 219):
             assert (10 * lp[n]) ** 2 >= n**3, f"restricted bound fails at n={n}"
             assert (100 * general[n]) ** 5 >= 3**5 * n**6, f"general bound fails at n={n}"
-        assert check_bounds(218).ok
+        assert check_bounds(218) is None
 
 
 # criterion 8 -----------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_08_bound_sandwich_at_tiny_orders():
         general = general_lb(6)
         for n in (4, 5, 6):
             exact = exact_strength(n)
-            upper = construct_upper(n).total_removed
+            upper = len(construct_upper(n).removed)
             assert general[n] <= exact <= upper, (n, general[n], exact, upper)
 
 
@@ -274,11 +274,11 @@ def test_09_removal_construction_sweep_to_200():
             built = construct_upper(n)
             g = remove_edges(complete_graph(n), built.removed)
             assert is_gap_labelling(g, built.labelling)[0], f"invalid labelling at n={n}"
-            total = built.total_removed
+            total = len(built.removed)
             assert total * total <= 9 * n**3, f"size bound fails at n={n}"
         fifteen = construct_upper(15)
-        assert fifteen.total_removed == 27
-        assert fifteen.plan.trace() == ((15, 3, 10), (11, 3, 6), (7, 2, 3), (4, 1, 1))
+        assert len(fifteen.removed) == 27
+        assert fifteen.plan.steps == ((15, 3, 10), (11, 3, 6), (7, 2, 3), (4, 1, 1))
 
 
 # criterion 10 ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -215,6 +216,35 @@ def test_strength_ub_writes_prefix_files(tmp_path, capsys):
     assert parse_graph(ledger_text).edge_count == 27
     labels = parse_labelling((tmp_path / "k15.labels").read_text())
     assert labels[0] == 1 << 14
+
+
+# sha256 digests of strength-ub's whole output: the rounds, the count, the
+# ledger and the labelling are pinned byte for byte.
+@pytest.mark.parametrize("n, digest", [
+    ("15", "609c200befc047b958b462a5e549f3a4469d59b9a2e69bc06893ba4d9a9570a7"),
+    ("200", "8ef971b293962cac0c2e5102c997e264c7b0543986cd57332c11940561a79566"),
+])
+def test_strength_ub_stdout_digest(capsys, n, digest):
+    code, out, err = run(capsys, "strength-ub", "--n", n)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_strength_ub_prefix_file_digests(tmp_path, capsys):
+    prefix = tmp_path / "k200"
+    code, out, err = run(capsys, "strength-ub", "--n", "200", "-o", str(prefix))
+    assert (code, err) == (0, "")
+    digests = {
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+        "removed": hashlib.sha256((tmp_path / "k200.removed").read_bytes()).hexdigest(),
+        "labels": hashlib.sha256((tmp_path / "k200.labels").read_bytes()).hexdigest(),
+    }
+    assert digests == {
+        "stdout": "ba68deffc357538884943ae873e5b3b902b43f574d36e29079628020566218ef",
+        "removed": "fba73fb2553299b45c867431a4acc244ca43be021d995c339911a07d7fa04213",
+        "labels": "3c728567f055aa0449bed2d83b95ad6845248225ff240fdecb6da3522db07ed5",
+    }
+    assert out.endswith("iteration: n=5 i=2 x=1\nremoved: 2363\n")
 
 
 def test_strength_exact_value(capsys):

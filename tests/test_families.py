@@ -152,8 +152,8 @@ def test_path_power_construction_colours_all_distinct():
 def evidence_is_sound(spec, evidence):
     g = build_family(spec)
     nbrs = [set(g.adjacency[v]) for v in range(g.n)]
-    assert len(evidence.pairs) == g.n * (g.n - 1)
-    for (a, b), (u, w) in evidence.pairs.items():
+    assert len(evidence) == g.n * (g.n - 1)
+    for (a, b), (u, w) in evidence.items():
         assert a != b and u != w
         assert u not in (a, b) and w not in (a, b)
         assert w in nbrs[u]
@@ -163,7 +163,7 @@ def evidence_is_sound(spec, evidence):
 def test_refutation_evidence_complete_graph():
     spec = FamilySpec(COMPLETE, 4)
     evidence = refute_witness(spec)
-    assert len(evidence.pairs) == 12
+    assert len(evidence) == 12
     evidence_is_sound(spec, evidence)
     evidence_is_sound(FamilySpec(COMPLETE, 7), refute_witness(FamilySpec(COMPLETE, 7)))
 

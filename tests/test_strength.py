@@ -24,7 +24,8 @@ from gaplab import (
     parse_graph,
     restricted_lb,
 )
-from gaplab.strength import _general_lb, _merge_slopes, power_law_column
+from gaplab import strength
+from gaplab.strength import _merge_slopes, power_law_column
 
 
 # --- reference recurrences, written independently of the table builders ----
@@ -118,11 +119,12 @@ def test_merge_slopes_is_the_min_plus_convolution_of_convex_sequences():
         assert table == expected, (f, g, count)
 
 
-def test_general_table_rejects_a_nonconvex_lprime():
+def test_general_table_rejects_a_nonconvex_lprime(monkeypatch):
     lp = list(restricted_lb(30))
     lp[20] += 5  # l'(19) + l'(21) < 2 l'(20), and convex everywhere before
+    monkeypatch.setattr(strength, "restricted_lb", lambda n_max: tuple(lp[: n_max + 1]))
     with pytest.raises(RuntimeError, match=r"at n = 20$"):
-        _general_lb(tuple(lp))
+        general_lb(30)
 
 
 def test_restricted_table_anchors():
@@ -161,13 +163,33 @@ def test_general_never_exceeds_restricted():
 
 
 def test_bound_check_passes_through_218():
-    report = check_bounds(218)
-    assert report.ok and report.first_violation is None
+    assert check_bounds(218) is None
 
 
 def test_bound_check_passes_through_10000():
-    report = check_bounds(10_000)
-    assert report.ok and report.first_violation is None
+    assert check_bounds(10_000) is None
+
+
+def _patch_tables(monkeypatch, lp, general):
+    monkeypatch.setattr(strength, "restricted_lb", lambda n_max: tuple(lp[: n_max + 1]))
+    monkeypatch.setattr(strength, "general_lb", lambda n_max: tuple(general[: n_max + 1]))
+
+
+def test_bound_check_names_the_first_lprime_violation(monkeypatch):
+    lp, general = list(restricted_lb(100)), list(general_lb(100))
+    lp[40] = lp[70] = 0  # (10 l')^2 < n^3 at n = 40 and 70
+    general[40] = 0  # both floors fail at 40; l' is checked first
+    _patch_tables(monkeypatch, lp, general)
+    assert check_bounds(100) == ("lprime", 40)
+    assert check_bounds(39) is None
+
+
+def test_bound_check_names_the_first_general_violation(monkeypatch):
+    lp, general = list(restricted_lb(100)), list(general_lb(100))
+    general[57] = general[60] = 0  # (100 L)^5 < 3^5 n^6 at n = 57 and 60
+    _patch_tables(monkeypatch, lp, general)
+    assert check_bounds(100) == ("general", 57)
+    assert check_bounds(56) is None
 
 
 def test_bound_check_exact_arithmetic_sample():
@@ -229,9 +251,20 @@ def test_single_removal_never_suffices_for_k5():
     assert not decide(g, budget=32).labelable
 
 
+def round_sets(n, step):
+    """(low vertex, independent set, tail) of a round (n_j, i_j, x_j) on K_n:
+    the round's non-hub vertices are the contiguous range low..n-1."""
+    order, i, x = step
+    low = n + 1 - order
+    independent = list(range(low + 1, low + 1 + i))
+    tail = list(range(low + 1 + i, n))
+    assert len(tail) == x
+    return low, independent, tail
+
+
 def test_construct_upper_smallest_case():
     built = construct_upper(4)
-    assert built.total_removed == 1
+    assert len(built.removed) == 1
     assert built.removed == ((1, 3),)
     assert built.labelling == (8, 1, 4, 2)
     g = remove_edges(complete_graph(4), built.removed)
@@ -240,8 +273,8 @@ def test_construct_upper_smallest_case():
 
 def test_construct_upper_trace_for_fifteen():
     built = construct_upper(15)
-    assert built.plan.trace() == ((15, 3, 10), (11, 3, 6), (7, 2, 3), (4, 1, 1))
-    assert built.total_removed == 27
+    assert built.plan.steps == ((15, 3, 10), (11, 3, 6), (7, 2, 3), (4, 1, 1))
+    assert len(built.removed) == 27
     assert built.labelling[0] == 1 << 14
     assert built.labelling.count(1 << 13) == 3 + 3 + 2 + 1  # one per independent slot
     g = remove_edges(complete_graph(15), built.removed)
@@ -254,11 +287,12 @@ def test_construct_upper_structural_invariants():
         g = remove_edges(complete_graph(n), built.removed)
         assert is_gap_labelling(g, built.labelling)[0], n
         for step in built.plan.steps:
-            for a in step.independent_set:
-                for b in step.independent_set:
+            low, independent, tail = round_sets(n, step)
+            for a in independent:
+                for b in independent:
                     if a < b:
                         assert not g.has_edge(a, b)
-            assert all(not g.has_edge(step.low_vertex, u) for u in step.tail)
+            assert all(not g.has_edge(low, u) for u in tail)
         # the hub vertex keeps the top label and every vertex some power of two
         assert built.labelling[0] == 1 << (n - 1)
         assert all(lab & (lab - 1) == 0 for lab in built.labelling)
@@ -271,12 +305,13 @@ def test_construct_upper_colour_identities_for_fifteen():
     # the hub sees everything from 2^0 up to the independent vertices' 2^13
     assert colours[0] == (1 << 13) - 1
     for j, step in enumerate(built.plan.steps, start=1):
+        low, independent, _ = round_sets(15, step)
         # low vertices keep only the hub and independent vertices as
         # neighbours, so they all take the gap 2^14 - 2^13
-        assert colours[step.low_vertex] == 1 << 13
-        for v in step.independent_set:
+        assert colours[low] == 1 << 13
+        for v in independent:
             assert colours[v] == (1 << 14) - (1 << (j - 1))
-    final_tail = built.plan.steps[-1].tail
+    final_tail = round_sets(15, built.plan.steps[-1])[2]
     assert colours[final_tail[0]] == 1 << 13
 
 
@@ -288,8 +323,8 @@ def test_removing_three_edges_at_one_vertex_of_k6_is_not_enough():
 
 def test_schedule_matches_full_construction():
     for n in (4, 9, 15, 40, 137):
-        assert removal_schedule(n).trace() == construct_upper(n).plan.trace()
-        assert removal_schedule(n).total_removed == construct_upper(n).total_removed
+        assert removal_schedule(n).steps == construct_upper(n).plan.steps
+        assert removal_schedule(n).total_removed == len(construct_upper(n).removed)
 
 
 # --- the two-loop construction the schedule-driven one replaced --------------
@@ -343,24 +378,30 @@ def test_construction_matches_two_loop_oracle():
         removed, labelling, trace, total = construct_upper_two_loop(n)
         assert built.removed == removed, n
         assert built.labelling == labelling, n
-        assert built.plan.trace() == trace, n
-        assert built.total_removed == total, n
+        assert built.plan.steps == trace, n
+        assert len(built.removed) == total, n
+        # the sets round_sets derives remove exactly the oracle's edges
+        from_rounds = []
+        for low, independent, tail in (round_sets(n, step) for step in trace):
+            from_rounds.extend((low, v) for v in tail)
+            from_rounds.extend(combinations(independent, 2))
+        assert tuple(sorted(from_rounds)) == removed, n
 
 
 def test_schedule_sets_partition_the_non_hub_vertices():
     for n in range(4, 201):
-        steps = removal_schedule(n).steps
+        rounds = [round_sets(n, step) for step in removal_schedule(n).steps]
         order = []
-        for step in steps:
-            order.append(step.low_vertex)
-            order.extend(step.independent_set)
-            assert len(step.independent_set) == step.independent_size, n
-            assert len(step.tail) == step.tail_size, n
-        order.extend(steps[-1].tail)
+        for step, (low, independent, tail) in zip(removal_schedule(n).steps, rounds):
+            order.append(low)
+            order.extend(independent)
+            assert len(independent) == step[1], n
+            assert len(tail) == step[2], n
+        order.extend(rounds[-1][2])
         assert order == list(range(1, n)), n
-        for this, following in zip(steps, steps[1:]):
-            rest = [following.low_vertex, *following.independent_set, *following.tail]
-            assert list(this.tail) == rest, n
+        for this, following in zip(rounds, rounds[1:]):
+            low, independent, tail = following
+            assert this[2] == [low, *independent, *tail], n
 
 
 def test_schedule_respects_cubic_root_bound():

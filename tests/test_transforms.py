@@ -115,8 +115,15 @@ def test_distinctify_keeps_injective_input_injective():
 def test_distinctify_rejects_invalid_input_with_report():
     with pytest.raises(InvalidLabellingError) as exc:
         distinctify(complete_graph(3), (1, 2, 3))
-    assert exc.value.report is not None
-    assert exc.value.report.conflicts == ((0, 2),)
+    assert exc.value.conflicts is not None
+    assert exc.value.conflicts == ((0, 2),)
+
+
+def test_invalid_input_message_lists_every_conflict():
+    with pytest.raises(InvalidLabellingError) as exc:
+        golomb_relabel(complete_graph(4), (1, 2, 3, 4))
+    assert exc.value.conflicts == ((0, 3), (1, 2))
+    assert str(exc.value) == "input is not a valid gap labelling (conflicts: (0, 3), (1, 2))"
 
 
 def test_power_two_relabel_fixture():
