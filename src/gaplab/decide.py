@@ -39,8 +39,8 @@ keeps it valid: the reversal only swaps the two ends of every extreme pair.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import SearchBudgetExceeded, UnsupportedInputError
 from .graph import Graph, is_connected
@@ -49,11 +49,7 @@ from .symmetry import orbit_representatives
 from .transforms import decision_marks
 
 
-@dataclass(frozen=True)
-class DecisionResult:
-    labelable: bool
-    witness: Labelling | None
-    assignments_tried: int
+DecisionResult = namedtuple("DecisionResult", "labelable witness assignments_tried")
 
 
 def _search(

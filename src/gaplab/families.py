@@ -19,8 +19,8 @@ and ``refute_witness`` all dispatch through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from collections import namedtuple
+from itertools import combinations, permutations
 
 from .errors import DomainError
 from .graph import Graph, complete_graph, cycle_power, path_power
@@ -31,17 +31,15 @@ PATH_POWER = "path-power"
 CYCLE_POWER = "cycle-power"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: int
-    k: int | None = None
+class FamilySpec(namedtuple("FamilySpec", "family n k")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family != COMPLETE and self.k is None:
-            raise ValueError(f"{self.family} needs a power k")
+    def __new__(cls, family: str, n: int, k: int | None = None):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family != COMPLETE and k is None:
+            raise ValueError(f"{family} needs a power k")
+        return super().__new__(cls, family, n, k)
 
 
 _GENERATOR, _PREDICATE, _LABELLING = range(3)  # the columns of ``_FAMILIES``
@@ -132,21 +130,18 @@ def refute_witness(spec: FamilySpec) -> dict[tuple[int, int], tuple[int, int]]:
     g = build_family(spec)
     nbr_sets = [set(g.adjacency[v]) for v in range(g.n)]
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(g.n):
-        for b in range(g.n):
-            if a == b:
-                continue
-            shared = nbr_sets[a] & nbr_sets[b]
-            found = next(
-                ((u, w) for u, w in combinations(sorted(shared), 2) if w in nbr_sets[u]),
-                None,
+    for a, b in permutations(range(g.n), 2):
+        shared = nbr_sets[a] & nbr_sets[b]
+        found = next(
+            ((u, w) for u, w in combinations(sorted(shared), 2) if w in nbr_sets[u]),
+            None,
+        )
+        if found is None:
+            raise RuntimeError(
+                f"no conflict pair for extremes ({a}, {b}) in {spec}; "
+                "refutation by shared-gap evidence is inconclusive"
             )
-            if found is None:
-                raise RuntimeError(
-                    f"no conflict pair for extremes ({a}, {b}) in {spec}; "
-                    "refutation by shared-gap evidence is inconclusive"
-                )
-            pairs[(a, b)] = found
+        pairs[(a, b)] = found
     return pairs
 
 

@@ -24,27 +24,24 @@ first bad line.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterable
 from itertools import combinations, islice, repeat
 from operator import lt
-from typing import Iterable
 
 from .errors import MissingEdgeError, ParseError
 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A simple undirected graph.
+class Graph(namedtuple("Graph", "n adjacency")):
+    """A simple undirected graph, as the named tuple ``(n, adjacency)``.
 
     ``adjacency[v]`` is the ascending tuple of v's neighbours; it is the only
     stored form, so equality and hashing compare ``n`` and ``adjacency``.
     """
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -160,9 +157,10 @@ def is_connected(g: Graph) -> bool:
     seen[0] = True
     queue = deque([0])
     count = 1
+    adjacency = g.adjacency
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u]:
+        for w in adjacency[u]:
             if not seen[w]:
                 seen[w] = True
                 count += 1

@@ -24,14 +24,13 @@ with an integer fifth root and only then written as a Decimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal
+from collections import namedtuple
 from itertools import combinations
 from math import isqrt
 
 from .errors import UnsupportedInputError
 from .graph import Edge, complete_graph, remove_edges
-from .labelling import Labelling, is_gap_labelling
+from .labelling import is_gap_labelling
 from .transforms import decision_marks
 
 
@@ -154,6 +153,8 @@ def power_law_column(n_max: int) -> tuple[Decimal, ...]:
     arithmetic is on integers, and each Decimal is read from the exact string
     "<r>E-4", so no decimal context is read or changed.
     """
+    from decimal import Decimal
+
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     out = []
@@ -217,17 +218,9 @@ def exact_strength(n: int) -> int:
 # upper-bound construction
 
 
-@dataclass(frozen=True)
-class RemovalPlan:
-    steps: tuple[tuple[int, int, int], ...]  # (n_j, i_j, x_j) per round
-    total_removed: int
-
-
-@dataclass(frozen=True)
-class UpperBoundConstruction:
-    removed: tuple[Edge, ...]
-    labelling: Labelling
-    plan: RemovalPlan
+# steps holds one (n_j, i_j, x_j) triple per round.
+RemovalPlan = namedtuple("RemovalPlan", "steps total_removed")
+UpperBoundConstruction = namedtuple("UpperBoundConstruction", "removed labelling plan")
 
 
 def removal_schedule(n: int) -> RemovalPlan:

@@ -181,8 +181,11 @@ def test_refutation_evidence_path_and_cycle_powers():
 
 
 def test_refutation_refuses_labelable_specs():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as info:
         refute_witness(FamilySpec(COMPLETE, 3))
+    assert str(info.value) == (
+        "FamilySpec(family='complete', n=3, k=None) is labelable; nothing to refute"
+    )
     with pytest.raises(DomainError):
         refute_witness(FamilySpec(CYCLE_POWER, 8, 2))
 
