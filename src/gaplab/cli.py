@@ -142,6 +142,22 @@ def _cmd_strength_exact(args) -> int:
     return 0
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Sized by ``shutil.get_terminal_size``'s rule without loading shutil, bz2, lzma."""
+
+    def __init__(self, prog, **kwargs):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+            except (AttributeError, ValueError, OSError):
+                columns = 80
+        super().__init__(prog, width=columns - 2, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by later ones.
@@ -149,10 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser unchanged, so every ``main`` call in a process
     can use the one instance; callers must not modify it.
     """
-    parser = argparse.ArgumentParser(
-        prog="gaplab", description="Gap-vertex-labellings of graphs."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=_HelpFormatter)
+    parser = parser_class(prog="gaplab", description="Gap-vertex-labellings of graphs.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def add_family_flags(p, *, family_required: bool):
         p.add_argument(

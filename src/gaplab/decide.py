@@ -95,6 +95,12 @@ def _search(
     undo.  Pins never move, so only a vertex pinned at this node can create
     a clash, and only those are checked against their neighbours.
 
+    Depth 1 needs no placement.  A vertex pinned at a node has the node's
+    vertex in its extreme pair, so none is pinned at depth 0 (a leaf is
+    never pinned), and the bottom v below the top t pins exactly N(t) &
+    N(v), at the one colour mark(t) - mark(v).  So the node clashes iff that
+    set spans an edge, and is then counted and skipped, with v still linked.
+
     The unplaced vertices form a doubly linked list in ascending order, with
     head n (Knuth's dancing links): a placed vertex is unlinked and keeps
     its own links, and undo, which runs in the reverse order of placement,
@@ -170,6 +176,14 @@ def _search(
         if tried > limit:
             raise SearchBudgetExceeded(tried, budget)
         depth = len(path)
+        if depth == 1:
+            # Refuted iff N(t) & N(v) spans an edge (see above).
+            common = top_nbrs.intersection(adj[v])
+            if any(not common.isdisjoint(adj[u]) for u in common):
+                v = nxt[v]
+                continue
+        elif not depth:
+            top_nbrs = set(adj[v])
         s = depth_marks[depth]
         label[v] = s
         nxt[prv[v]] = nxt[v]

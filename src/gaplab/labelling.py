@@ -22,6 +22,8 @@ that limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import ParseError, UnsupportedInputError
 from .graph import Edge, Graph
 
@@ -107,14 +109,18 @@ def is_gap_labelling(g: Graph, labels) -> tuple[bool, tuple[Edge, ...]]:
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colours):
         classes.setdefault(c, []).append(v)
+    adjacency = g.adjacency
     conflicts = []
     for members in classes.values():
         if len(members) > 1:
             same = set(members)
-            for u in members:
-                nbrs = g.adjacency[u]
+            for k, u in enumerate(members):
+                nbrs = adjacency[u]
                 if len(members) < len(nbrs):
-                    conflicts.extend((u, w) for w in members if u < w and g.has_edge(u, w))
+                    for w in members[k + 1 :]:
+                        i = bisect_left(nbrs, w)
+                        if i < len(nbrs) and nbrs[i] == w:
+                            conflicts.append((u, w))
                 else:
                     conflicts.extend((u, w) for w in same.intersection(nbrs) if u < w)
     conflicts.sort()

@@ -94,9 +94,10 @@ def distinctify(g: Graph, labels) -> Labelling:
     comparison that decides properness.
     """
     labels = _require_valid(g, labels)
+    scale = 2 * g.n
     out = [0] * g.n
     for rank, v in enumerate(_ranks(labels)):
-        out[v] = labels[v] * 2 * g.n + rank
+        out[v] = labels[v] * scale + rank
     return tuple(out)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import sys
 
@@ -276,6 +277,36 @@ def test_usage_error_exits_two(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+HELP_ARGVS = [[], ["gen"], ["label"], ["verify"], ["decide"], ["chi"], ["strength-lb"],
+              ["strength-ub"], ["strength-exact"]]
+# sha256 of the nine --help texts above joined by NUL, printed by argparse's
+# stock formatter on Python 3.10 to 3.12; 3.13 prints an option's metavar once.
+HELP_DIGESTS = {
+    "60": "90ed42bcb870c13195eeeee7e2cd0aa586d0aea4a47ddcb9274906241edcbeaa",
+    "100": "4b8766418875bb2e0bf2c679156d1e02130a0e9f7c96bb7c305edf3b78fd0bf4",
+}
+
+
+@pytest.mark.parametrize("columns", sorted(HELP_DIGESTS))
+def test_help_is_what_the_stock_formatter_prints(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def helps(parser):
+        texts = []
+        for argv in HELP_ARGVS:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + ["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        return "\0".join(texts)
+
+    ours = helps(cli.build_parser())
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    assert ours == helps(cli.build_parser.__wrapped__())
+    if sys.version_info < (3, 13):
+        assert hashlib.sha256(ours.encode()).hexdigest() == HELP_DIGESTS[columns]
 
 
 def test_parse_error_exits_one(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Every record is a ``collections.namedtuple``, so importing gaplab loads no
 ``dataclasses`` (and through it ``inspect``), no ``typing`` and, until the
-omega column is rendered, no ``decimal``.
+omega column is rendered, no ``decimal``; building the CLI parser loads no
+``shutil``.
 """
 
 import json
@@ -27,9 +28,9 @@ import argparse, bisect, collections, functools, itertools, math, operator
 before = set(sys.modules)
 import gaplab, gaplab.cli
 gaplab.cli.build_parser()
-loaded = sorted(set(sys.modules) - before)
+report = {"loaded": sorted(set(sys.modules) - before), "shutil": "shutil" in sys.modules}
 from gaplab import strength
-print(json.dumps({"loaded": loaded, "omega_5": str(strength.power_law_column(5)[5])}))
+print(json.dumps({**report, "omega_5": str(strength.power_law_column(5)[5])}))
 """
 
 
@@ -43,6 +44,9 @@ def test_fresh_interpreter_loads_no_dataclasses_typing_or_decimal():
     assert "gaplab.cli" in report["loaded"]
     heavy = {"dataclasses", "inspect", "typing", "decimal"} & set(report["loaded"])
     assert not heavy, f"importing gaplab loaded {sorted(heavy)}"
+    # Nor shutil (and with it bz2 and lzma), which argparse's stock help
+    # formatter imports; under -S, site has not loaded it either.
+    assert not report["shutil"]
     # decimal loads on first use, in the same process.
     assert Decimal(report["omega_5"]) == Decimal("0.2070")
 
