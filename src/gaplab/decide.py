@@ -252,30 +252,33 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
         raise ValueError(f"k_max must be positive, got {k_max}")
     n = g.n
     adj = g.adjacency
-    # completes[v]: the vertices whose colour becomes known once v, their
-    # highest-numbered neighbour, is labelled, each with its neighbours.
-    completes: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    # completes[v]: the vertices w whose colour becomes known once v, their
+    # highest-numbered neighbour, is labelled, each with its neighbours and
+    # the neighbours whose colour is known by then.  While the walk stands at
+    # v, every vertex up to v holds its current label, so those colours are
+    # current; w is tested against them alone.
+    completes: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
+        [] for _ in range(n)
+    ]
     for w in range(n):
-        completes[max(adj[w])].append((w, adj[w]))
+        top = max(adj[w])
+        known = tuple(u for u in adj[w] if max(adj[u]) <= top)
+        completes[top].append((w, adj[w], known))
     # Reflection break: with no leaf, vertex 0 starts at k // 2.
     reflect = min(map(len, adj)) >= 2
+    colour = [0] * n
+    colour_of = colour.__getitem__
     tried = 0
-
-    def search(k: int) -> bool:
+    for k in range(1, k_max + 1):
         # The explicit stack is label itself: a vertex counts up to k from
         # its start (0, or k // 2 for vertex 0 under the reflection break).
-        nonlocal tried
         label = [0] * n
         if reflect:
             label[0] = k // 2
-        colour: list[int | None] = [None] * n
-        colour_of = colour.__getitem__
         v = 0
         while v >= 0:
             if label[v] == k:
                 label[v] = 0
-                for w, _ in completes[v]:
-                    colour[w] = None
                 v -= 1
                 continue
             label[v] += 1
@@ -283,23 +286,18 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
             if budget is not None and tried > budget:
                 raise SearchBudgetExceeded(tried, budget)
             newly = completes[v]
-            for w, nbrs in newly:
+            for w, nbrs, _ in newly:
                 vals = [label[u] for u in nbrs]
                 colour[w] = vals[0] if len(vals) == 1 else max(vals) - min(vals)
             # All of them are coloured before any is tested, so none is
             # tested against a colour left over from v's previous label.
-            for w, nbrs in newly:
-                if colour[w] in map(colour_of, nbrs):
+            for w, _, known in newly:
+                if colour[w] in map(colour_of, known):
                     break
             else:
                 if v + 1 == n:
-                    return True
+                    return k
                 v += 1
-        return False
-
-    for k in range(1, k_max + 1):
-        if search(k):
-            return k
     return None
 
 

@@ -11,14 +11,15 @@ Serialisation emits edges in lexicographic order.  Lines starting with ``#``
 are ignored on input so that annotated edge lists (such as removed-edge
 ledgers) stay loadable.
 
-Text in the layout ``serialize_graph`` writes is read in blocks of whole
-lines, about 64 KB each, so a multi-megabyte edge list needs about one
+Text that is exactly what ``serialize_graph`` writes (no comments, no empty
+lines, one space and a newline ending every line) is read in blocks of
+whole lines, about 64 KB each, so a multi-megabyte edge list needs about one
 block of transient memory beside the graph and a bytes copy of the text.
 Each block is checked for two digit runs per line, endpoints in range and
 lexicographic edge order; the order makes every neighbour list come out
-sorted, lower neighbours first, without a sort.  Any other text goes
-through a line-by-line reader that accepts the same graphs and names the
-first bad line.
+sorted, lower neighbours first, without a sort.  Any other text, such as
+comments, empty lines or CRLF line ends, goes through a line-by-line
+reader that accepts the same graphs and names the first bad line.
 """
 
 from __future__ import annotations
@@ -169,8 +170,6 @@ def is_connected(g: Graph) -> bool:
 
 
 _DIGITS = b"0123456789"
-# The ASCII characters other than "\n" at which str.splitlines ends a line.
-_OTHER_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 # About how many bytes of edge lines _parse_whole reads at a time.
 _BLOCK = 1 << 16
 # The edges per row at which extending each row by a slice of the block's v's
@@ -182,26 +181,26 @@ _LONG_ROW = 8
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format described in the module docstring.
 
-    Text laid out as ``serialize_graph`` writes it is read in blocks of whole
-    lines; any other text, and every error, goes through the line loop, the
-    one place that raises ParseError.  Both give the same Graph for the same
-    text.
+    Text that is exactly what ``serialize_graph`` writes is read in blocks of
+    whole lines; any other text, and every error, goes through the line
+    loop, the one place that raises ParseError.  Both give the same Graph
+    for the same text.
     """
     g = _parse_whole(text)
     return g if g is not None else _parse_lines(text)
 
 
 def _parse_whole(text: str) -> Graph | None:
-    """The graph of a text in the written layout, or None.
+    """The graph of a text that is exactly what ``serialize_graph`` writes,
+    or None.
 
-    The layout: leading ``#`` comment lines, then "n m" and one "u v" line
-    per edge, each two runs of decimal digits joined by one space and ended
-    by "\\n" or "\\r\\n" (the last may lack it), with the edges in
-    lexicographic order; empty lines after the comments are dropped first.
-    The layout and the header are checked on the whole text.  The edge lines
-    are then read in blocks of whole lines, about ``_BLOCK`` bytes each, so
-    transient memory is about one block beside the graph and a bytes copy
-    of the text.  Each block checks:
+    The layout: "n m", then one "u v" line per edge in lexicographic order,
+    each two runs of decimal digits joined by one space and ended by "\\n",
+    with no comments and no empty lines.  The layout and the header are
+    checked on the whole text.  The edge lines are then read in blocks of
+    whole lines, about ``_BLOCK`` bytes each, so transient memory is about
+    one block beside the graph and a bytes copy of the text.  Each block
+    checks:
 
     - two tokens per line: the layout alone passes an empty digit run, as in
       "2 1\\n 1\\n";
@@ -222,32 +221,14 @@ def _parse_whole(text: str) -> Graph | None:
     """
     if not text.isascii():
         return None
-    data = text.encode()
-    if b"\r" in data:
-        # str.splitlines ends a line once at "\r\n"; a lone "\r" left here
-        # fails the checks below.
-        data = data.replace(b"\r\n", b"\n")
-    start = 0
-    while data.startswith(b"#", start):
-        start = data.find(b"\n", start) + 1
-        if start == 0:
-            return None
-    if len(data[:start].translate(None, _OTHER_LINE_BREAKS)) != start:
-        return None  # the line loop would end a comment early and read on
-    body = data[start:]
-    del data
-    # The line loop skips empty lines, so dropping them changes no verdict.
-    while b"\n\n" in body:
-        body = body.replace(b"\n\n", b"\n")
-    body = body.removeprefix(b"\n")
-    # One space per line, and the last line may lack its newline.
+    body = text.encode()
     lines = body.count(b" ")
-    layout = b" \n" * lines
-    if not body.endswith(b"\n"):
-        layout = layout[:-1]
-    if not lines or body.translate(None, _DIGITS) != layout:
+    # Digits after the last "\n" would vanish from the translation below.
+    if not lines or not body.endswith(b"\n"):
         return None
-    end = body.find(b"\n") + 1 or len(body)
+    if body.translate(None, _DIGITS) != b" \n" * lines:
+        return None
+    end = body.find(b"\n") + 1
     n, _, m = body[:end].partition(b" ")
     try:
         n, m = int(n), int(m)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ from gaplab import (
     FamilySpec,
     build_family,
     complete_graph,
+    cycle_power,
     family_labelling,
     parse_graph,
     parse_labelling,
@@ -136,6 +138,16 @@ def test_decide_refutation(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", "--graph", str(graph_file))
     assert code == 0
     assert "labelable: no" in out
+
+
+def test_decide_reads_crlf_text_from_stdin(tmp_path, capsys, monkeypatch):
+    text = serialize_graph(cycle_power(6, 2))
+    graph_file = tmp_path / "c62.graph"
+    graph_file.write_text(text)
+    from_file = run(capsys, "decide", "--graph", str(graph_file))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text.replace("\n", "\r\n")))
+    assert run(capsys, "decide", "--graph", "-") == from_file
+    assert from_file[1].startswith("labelable: ")
 
 
 def test_label_by_search_witness(tmp_path, capsys):
