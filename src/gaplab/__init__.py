@@ -9,7 +9,7 @@ labellings for complete graphs and powers of paths and cycles, and bounds
 how many edge removals make a complete graph labelable.
 """
 
-from .decide import DecisionResult, decide, naive_decide, vertex_gap_number
+from .decide import DecisionResult, decide, naive_decide, shared_gap_certificate, vertex_gap_number
 from .errors import (
     DomainError,
     GapLabError,
@@ -32,7 +32,6 @@ from .families import (
     labelable_complete,
     labelable_cycle_power,
     labelable_path_power,
-    refute_witness,
 )
 from .graph import (
     Graph,

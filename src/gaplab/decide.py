@@ -34,6 +34,10 @@ or equal closed neighbourhoods, which an automorphism swaps), and the frame
 below it only bottoms numbered above the top.  That second cut is exact
 because, by the clash rule, reversing the order of a valid mark labelling
 keeps it valid: the reversal only swaps the two ends of every extreme pair.
+
+``shared_gap_certificate`` returns the paper's refutation of complete graphs
+and path and cycle powers, which is the search's depth-1 test, as checkable
+data for any graph it refutes.
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ def _search(
     vertex in its extreme pair, so none is pinned at depth 0 (a leaf is
     never pinned), and the bottom v below the top t pins exactly N(t) &
     N(v), at the one colour mark(t) - mark(v).  So the node clashes iff that
-    set spans an edge, and is then counted and skipped, with v still linked.
+    set spans an edge (the shared-gap argument of ``shared_gap_certificate``),
+    and is then counted and skipped, with v still linked.
 
     The unplaced vertices form a doubly linked list in ascending order, with
     head n (Knuth's dancing links): a placed vertex is unlinked and keeps
@@ -216,6 +221,33 @@ def _require_searchable(g: Graph) -> None:
         raise UnsupportedInputError("decision needs at least two vertices")
     if not is_connected(g):
         raise UnsupportedInputError("decision is defined for connected graphs only")
+
+
+def shared_gap_certificate(g: Graph) -> dict[tuple[int, int], tuple[int, int]] | None:
+    """For every pair t < b, an edge (u, w) inside N(t) & N(b); else None.
+
+    Such a dict proves that g has no gap-vertex-labelling, by the shared-gap
+    argument.  In any labelling, some vertex x holds a largest label and
+    some other vertex y a smallest one.  A common neighbour of x and y has
+    degree >= 2 and sees both extremes, so its colour is l(x) - l(y), and
+    the two ends of an edge inside N(x) & N(y) clash.  The dict has an entry
+    for the pair {x, y}, whichever of the two is numbered lower, so no
+    labelling is valid.  Each entry holds the least such edge, u < w.  None
+    means only that this proof does not apply: the graph may still have no
+    labelling.
+    """
+    _require_searchable(g)
+    adj = g.adjacency
+    nbrs = list(map(set, adj))
+    certificate = {}
+    for t in range(g.n):
+        for b in range(t + 1, g.n):
+            common = nbrs[t] & nbrs[b]
+            edges = ((u, w) for u in sorted(common) for w in adj[u] if w > u and w in common)
+            certificate[t, b] = edge = next(edges, None)
+            if edge is None:
+                return None
+    return certificate
 
 
 def decide(g: Graph, *, budget: int | None = None) -> DecisionResult:

@@ -8,19 +8,17 @@ for C_6^2, C_7^2 and the regime n >= 8, k <= floor(n/4), labelled by powers
 of two increasing along one half of the cycle and decreasing along the
 other.
 
-For the non-labelable members, ``refute_witness`` turns the impossibility
-argument into checkable data: wherever the largest and smallest labels sit,
-two adjacent vertices see both of them and are forced to share a colour.
+The non-labelable members are refuted by the shared-gap argument, which
+``decide.shared_gap_certificate`` turns into checkable data for any graph.
 
 One table at the bottom of the module maps each family name to its
-generator, predicate and labelling; ``build_family``, ``family_labelling``
-and ``refute_witness`` all dispatch through it.
+generator and labelling; ``build_family`` and ``family_labelling`` dispatch
+through it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, permutations
 
 from .errors import DomainError
 from .graph import Graph, complete_graph, cycle_power, path_power
@@ -42,7 +40,7 @@ class FamilySpec(namedtuple("FamilySpec", "family n k")):
         return super().__new__(cls, family, n, k)
 
 
-_GENERATOR, _PREDICATE, _LABELLING = range(3)  # the columns of ``_FAMILIES``
+_GENERATOR, _LABELLING = range(2)  # the columns of ``_FAMILIES``
 
 
 def _call(spec: FamilySpec, column: int):
@@ -111,44 +109,10 @@ def construct_cycle_power_labelling(n: int, k: int) -> Labelling:
     return tuple(1 << i if i < half else 1 << (half + n - i) for i in range(n))
 
 
-def refute_witness(spec: FamilySpec) -> dict[tuple[int, int], tuple[int, int]]:
-    """Per extremal placement, an adjacent pair forced to share a colour.
-
-    An entry (a, b) -> (u, w) certifies: if vertex a holds the unique largest
-    label and b the unique smallest, then u and w are adjacent and both have
-    a and b among their neighbours, so both are coloured by the same gap.
-    The dict covers every ordered placement (a, b), all n(n - 1) of them,
-    which refutes labelability, since any valid labelling could be made
-    injective first.
-
-    Raises DomainError for labelable parameters, and RuntimeError if some
-    placement admits no conflict pair (which would mean this certificate
-    style cannot refute the graph; the covered families never hit it).
-    """
-    if _call(spec, _PREDICATE):
-        raise DomainError(f"{spec} is labelable; nothing to refute")
-    g = build_family(spec)
-    nbr_sets = [set(g.adjacency[v]) for v in range(g.n)]
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b in permutations(range(g.n), 2):
-        shared = nbr_sets[a] & nbr_sets[b]
-        found = next(
-            ((u, w) for u, w in combinations(sorted(shared), 2) if w in nbr_sets[u]),
-            None,
-        )
-        if found is None:
-            raise RuntimeError(
-                f"no conflict pair for extremes ({a}, {b}) in {spec}; "
-                "refutation by shared-gap evidence is inconclusive"
-            )
-        pairs[(a, b)] = found
-    return pairs
-
-
-# family -> (generator, predicate, labelling), each taking (n,) for the
-# complete family and (n, k) otherwise.
+# family -> (generator, labelling), each taking (n,) for the complete family
+# and (n, k) otherwise.
 _FAMILIES = {
-    COMPLETE: (complete_graph, labelable_complete, construct_complete_labelling),
-    PATH_POWER: (path_power, labelable_path_power, construct_path_power_labelling),
-    CYCLE_POWER: (cycle_power, labelable_cycle_power, construct_cycle_power_labelling),
+    COMPLETE: (complete_graph, construct_complete_labelling),
+    PATH_POWER: (path_power, construct_path_power_labelling),
+    CYCLE_POWER: (cycle_power, construct_cycle_power_labelling),
 }

@@ -15,10 +15,13 @@ from gaplab import (
     graph_from_edges,
     is_connected,
     is_gap_labelling,
+    labelable_cycle_power,
+    labelable_path_power,
     naive_decide,
     next_prime,
     orbit_representatives,
     path_power,
+    shared_gap_certificate,
     vertex_gap_number,
 )
 from gaplab.decide import _search
@@ -371,6 +374,9 @@ def test_rejects_disconnected_and_trivial_inputs():
         decide(complete_graph(1))
     with pytest.raises(UnsupportedInputError):
         vertex_gap_number(graph_from_edges(4, [(0, 1), (2, 3)]), 3)
+    for g in (complete_graph(1), graph_from_edges(4, [(0, 1), (2, 3)])):
+        with pytest.raises(UnsupportedInputError):
+            shared_gap_certificate(g)
 
 
 def test_least_label_counts_for_tiny_graphs():
@@ -490,6 +496,62 @@ def test_a_bottom_whose_common_neighbourhood_spans_an_edge_clashes():
                     labels[v] = m
                 assert not is_gap_labelling(g, labels)[0], (sorted(g.edges), t, b)
     assert pairs == 9646
+
+
+def shared_gap_edges(n, edges):
+    """Per pair t < b, every edge whose ends both see t and b; None if one has none.
+
+    A brute-force oracle for ``shared_gap_certificate``, on a plain edge list.
+    """
+    nbrs = [set() for _ in range(n)]
+    for u, w in edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    found = {}
+    for t, b in combinations(range(n), 2):
+        found[t, b] = {(u, w) for u, w in edges if {t, b} <= nbrs[u] & nbrs[w]}
+        if not found[t, b]:
+            return None
+    return found
+
+
+def test_shared_gap_certificate_matches_brute_force_on_all_graphs_up_to_order_six():
+    graphs = certified = small = 0
+    for n in range(2, 7):
+        pool = list(combinations(range(n), 2))
+        for bits in range(1 << len(pool)):
+            edges = [pool[i] for i in range(len(pool)) if bits >> i & 1]
+            g = graph_from_edges(n, edges)
+            if not is_connected(g):
+                continue
+            graphs += 1
+            certificate = shared_gap_certificate(g)
+            expected = shared_gap_edges(n, edges)
+            assert (certificate is None) == (expected is None), edges
+            if certificate is None:
+                continue
+            certified += 1
+            assert certificate.keys() == expected.keys(), edges
+            assert all(certificate[p] in expected[p] for p in expected), edges
+            if n <= 5:
+                small += 1
+                assert not naive_decide(g).labelable, edges
+    assert (graphs, certified, small) == (27_475, 378, 12)
+
+
+def test_family_members_are_certified_exactly_when_their_predicate_fails():
+    members = certified = 0
+    for k in range(2, 9):
+        for n in range(k + 1, 4 * k + 3):
+            cases = [(path_power(n, k), labelable_path_power(n, k))]
+            if 2 * k < n:
+                cases.append((cycle_power(n, k), labelable_cycle_power(n, k)))
+            for g, labelable in cases:
+                members += 1
+                certificate = shared_gap_certificate(g)
+                assert (certificate is None) == labelable, (g, k)
+                certified += certificate is not None
+    assert (members, certified) == (203, 94)
 
 
 def test_twin_roots_keep_every_verdict_on_all_order_six_graphs():

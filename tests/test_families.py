@@ -20,7 +20,7 @@ from gaplab import (
     labelable_cycle_power,
     labelable_path_power,
     path_power,
-    refute_witness,
+    shared_gap_certificate,
 )
 
 
@@ -149,23 +149,21 @@ def test_path_power_construction_colours_all_distinct():
         assert len(set(colours)) == n, (n, k)
 
 
-def evidence_is_sound(spec, evidence):
-    g = build_family(spec)
-    nbrs = [set(g.adjacency[v]) for v in range(g.n)]
-    assert len(evidence) == g.n * (g.n - 1)
-    for (a, b), (u, w) in evidence.items():
-        assert a != b and u != w
-        assert u not in (a, b) and w not in (a, b)
-        assert w in nbrs[u]
-        assert {a, b} <= nbrs[u] and {a, b} <= nbrs[w]
+def evidence_is_sound(g, certificate):
+    """One entry per pair t < b, each an edge of g inside N(t) & N(b)."""
+    nbrs = [set(a) for a in g.adjacency]
+    pairs = [(t, b) for t in range(g.n) for b in range(t + 1, g.n)]
+    return sorted(certificate) == pairs and all(
+        w in nbrs[u] and {u, w} <= nbrs[t] & nbrs[b] for (t, b), (u, w) in certificate.items()
+    )
 
 
 def test_refutation_evidence_complete_graph():
-    spec = FamilySpec(COMPLETE, 4)
-    evidence = refute_witness(spec)
-    assert len(evidence) == 12
-    evidence_is_sound(spec, evidence)
-    evidence_is_sound(FamilySpec(COMPLETE, 7), refute_witness(FamilySpec(COMPLETE, 7)))
+    g = complete_graph(4)
+    evidence = shared_gap_certificate(g)
+    assert len(evidence) == 6
+    assert evidence_is_sound(g, evidence)
+    assert evidence_is_sound(complete_graph(7), shared_gap_certificate(complete_graph(7)))
 
 
 def test_refutation_evidence_path_and_cycle_powers():
@@ -177,17 +175,29 @@ def test_refutation_evidence_path_and_cycle_powers():
         FamilySpec(CYCLE_POWER, 9, 3),
         FamilySpec(CYCLE_POWER, 13, 4),
     ):
-        evidence_is_sound(spec, refute_witness(spec))
+        g = build_family(spec)
+        assert evidence_is_sound(g, shared_gap_certificate(g)), spec
+
+
+def test_evidence_checker_rejects_mutated_certificates():
+    g = build_family(FamilySpec(CYCLE_POWER, 8, 3))
+    evidence = shared_gap_certificate(g)
+    assert evidence_is_sound(g, evidence)
+    dropped = dict(evidence)
+    del dropped[0, 1]
+    assert not evidence_is_sound(g, dropped)
+    # 2 and 6 lie inside N(0) & N(1) but are not adjacent; the edge 2-4
+    # leaves it.
+    assert set(g.adjacency[0]) & set(g.adjacency[1]) == {2, 3, 6, 7}
+    assert not g.has_edge(2, 6) and g.has_edge(2, 4)
+    assert not evidence_is_sound(g, {**evidence, (0, 1): (2, 6)})
+    assert not evidence_is_sound(g, {**evidence, (0, 1): (2, 4)})
 
 
 def test_refutation_refuses_labelable_specs():
-    with pytest.raises(DomainError) as info:
-        refute_witness(FamilySpec(COMPLETE, 3))
-    assert str(info.value) == (
-        "FamilySpec(family='complete', n=3, k=None) is labelable; nothing to refute"
-    )
-    with pytest.raises(DomainError):
-        refute_witness(FamilySpec(CYCLE_POWER, 8, 2))
+    # The shared-gap argument cannot refute a labelable graph.
+    assert shared_gap_certificate(complete_graph(3)) is None
+    assert shared_gap_certificate(build_family(FamilySpec(CYCLE_POWER, 8, 2))) is None
 
 
 def test_predicates_agree_with_search_small():
