@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
 """How many edges must leave K_n before a gap labelling exists?
 
-Exhaustive search answers exactly for n = 4, 5, 6.  For larger n, a
-dynamic program over vertex decompositions gives a lower bound growing like
-n^1.2, and a recursive peeling construction removes at most 3*n*sqrt(n)
-edges while producing a concrete valid labelling.
+A dynamic program over vertex decompositions gives a lower bound L(n)
+growing like n^1.2, and a recursive peeling construction removes at most
+3*n*sqrt(n) edges while producing a concrete valid labelling.  For n = 4,
+5, 6 the two bounds meet, so they give the exact value; from n = 7 on the
+construction removes more.
+
+Exits 1 if the bounds do not meet at n = 4..6 or the construction's
+labelling of K_15 is invalid.
 """
+
+import sys
 
 from gaplab import (
     complete_graph,
@@ -19,9 +25,17 @@ from gaplab import (
     removal_schedule,
 )
 
-print("exact values by exhaustive search:")
-for n in (4, 5, 6):
-    print(f"  K_{n}: remove {exact_strength(n)} edge(s)")
+lower = general_lb(7)
+print("lower bound L(n) against the construction's removals:")
+meet = True
+for n in (4, 5, 6, 7):
+    upper = removal_schedule(n).total_removed
+    if n <= 6:
+        meet = meet and upper == lower[n]
+    print(f"  K_{n}: L={lower[n]}, construction removes {upper}"
+          f" ({'meet' if upper == lower[n] else 'part'})")
+if meet:
+    print("exact strengths of K_4, K_5, K_6:", *(exact_strength(n) for n in (4, 5, 6)))
 
 print()
 print("lower-bound table (first rows):")
@@ -38,15 +52,13 @@ for order, i, x in built.plan.steps:
     print(f"  round: order={order} independent={i} tail={x}")
 print(f"  removed {len(built.removed)} edges")
 g = remove_edges(complete_graph(15), built.removed)
-print("  labelling valid:", is_gap_labelling(g, built.labelling)[0])
-
-print()
-print("sandwich at tiny orders (lower <= exact <= construction):")
-lower = general_lb(6)
-for n in (4, 5, 6):
-    print(f"  n={n}: {lower[n]} <= {exact_strength(n)} <= {len(construct_upper(n).removed)}")
+valid = is_gap_labelling(g, built.labelling)[0]
+print("  labelling valid:", valid)
 
 print()
 big = removal_schedule(4000)
 print(f"schedule for K_4000 removes {big.total_removed} edges over {len(big.steps)} rounds")
 print(f"cap 3*n*sqrt(n) ~= {int(3 * 4000 * 4000 ** 0.5)}")
+
+if not (meet and valid):
+    sys.exit(1)

@@ -179,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a family graph in edge-list form")
     add_family_flags(p, family_required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_gen)
+    p.set_defaults(fn=_cmd_gen, parser=p)
 
     p = sub.add_parser("label", help="write a labelling (family rule or search witness)")
     add_family_flags(p, family_required=False)
     p.add_argument("--graph", help="decide this graph and emit the witness")
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_label)
+    p.set_defaults(fn=_cmd_label, parser=p)
 
     p = sub.add_parser("verify", help="check a labelling against a graph")
     p.add_argument("--graph", required=True)
@@ -218,15 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Usage errors found here are reported by the subcommand's own parser.
     if args.fn is _cmd_label and (args.family is None) == (args.graph is None):
-        parser.error("label needs exactly one of --family or --graph")
+        args.parser.error("label needs exactly one of --family or --graph")
     family = getattr(args, "family", None)
     if family is not None and args.n is None:
-        parser.error("--family requires --n")
+        args.parser.error("--family requires --n")
     if family is not None and family != COMPLETE and args.k is None:
-        parser.error(f"--family {family} requires --k")
+        args.parser.error(f"--family {family} requires --k")
     try:
         return args.fn(args)
     except SearchBudgetExceeded as exc:

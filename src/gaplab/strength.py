@@ -1,14 +1,12 @@
-"""Edge-removal strength of complete graphs: bounds and constructions.
+"""Edge-removal strength of complete graphs: two bounds and where they meet.
 
 How many edges must be deleted from K_n before some resulting graph admits
-a gap labelling?  Three attacks on that number live here:
+a gap labelling?  Two bounds on that number live here:
 
-* exhaustive search for tiny n (4..6): every removal set, by size, under
-  one fixed assignment of the decision marks (vertex i takes the i-th);
-* lower bounds by dynamic programming over decompositions: classify every
-  vertex by adjacency to the extremal-labelled pair, charge the removals
-  each class forces, and recurse.  Every recurrence convolves convex
-  sequences, so both tables are merges of slopes and take O(n) time;
+* a lower bound L(n) by dynamic programming over decompositions: classify
+  every vertex by adjacency to the extremal-labelled pair, charge the
+  removals each class forces, and recurse.  Every recurrence convolves
+  convex sequences, so both tables are merges of slopes and take O(n) time;
 * an upper bound by explicit construction: repeatedly split off a small
   independent set and a detached "low" vertex, removing at most 3*n*sqrt(n)
   edges in total, and label the result with powers of two.  One loop,
@@ -16,6 +14,10 @@ a gap labelling?  Three attacks on that number live here:
   round are a contiguous range, so a round is the triple of its sizes, and
   ``construct_upper`` derives the sets from it, labels them and lists the
   removed edges.
+
+For n = 4, 5, 6 the construction removes exactly L(n) edges, so the two
+bounds meet and ``exact_strength`` answers with their common value; from
+n = 7 on the construction removes more.
 
 All arithmetic is on integers, with no floating point anywhere: the bound
 checks compare integer powers, and the rendered power-law column is rounded
@@ -31,7 +33,6 @@ from math import isqrt
 from .errors import UnsupportedInputError
 from .graph import Edge, complete_graph, remove_edges
 from .labelling import is_gap_labelling
-from .transforms import decision_marks
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +187,6 @@ def check_bounds(n_max: int) -> tuple[str, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# exact values for tiny orders
-
-
-def exact_strength(n: int) -> int:
-    """Least number of removals that leaves some labelable graph, for n in 4..6.
-
-    Returns the least |R| for which vertex i holding the i-th decision mark
-    is a gap labelling of K_n - R.  That is exact.  If K_n - R has any gap
-    labelling, ``distinctify`` and then the rank-preserving ruler marks turn
-    it into one that gives the vertex of rank i the i-th mark (the argument
-    ``decide`` rests on).  Every permutation of the vertices is an
-    automorphism of K_n, so renumbering the vertices by rank carries R to a
-    removal set R' of the same size under which vertex i holds the i-th mark.
-    For 4 <= n <= 6 the answer is below n - 1, and removing fewer than n - 1
-    edges cannot disconnect K_n, so no graph checked has an isolated vertex.
-    """
-    if not 4 <= n <= 6:
-        raise UnsupportedInputError(f"exact strength supported for 4 <= n <= 6, got {n}")
-    base = complete_graph(n)
-    marks = decision_marks(n)
-    all_edges = sorted(base.edges)
-    for size in range(1, len(all_edges) + 1):
-        for combo in combinations(all_edges, size):
-            if is_gap_labelling(remove_edges(base, combo), marks)[0]:
-                return size
-    raise RuntimeError("unreachable: removing all edges but a star is labelable")
-
-
-# ---------------------------------------------------------------------------
 # upper-bound construction
 
 
@@ -279,6 +251,33 @@ def construct_upper(n: int) -> UpperBoundConstruction:
     for j, v in enumerate(tail, start=len(plan.steps)):  # the last round's tail
         labels[v] = 1 << j
     return UpperBoundConstruction(tuple(sorted(removed)), tuple(labels), plan)
+
+
+# ---------------------------------------------------------------------------
+# where the bounds meet
+
+
+def exact_strength(n: int) -> int:
+    """Least number of removals that leaves some labelable graph, for n in 4..6.
+
+    The strength of K_n is at least L(n) = ``general_lb(n)[n]`` and at most
+    the number of edges ``construct_upper(n)`` removes.  For 4 <= n <= 6
+    these are equal, so L(n) is returned once the construction is checked:
+    it must remove exactly L(n) edges, and its labelling must be a gap
+    labelling of K_n minus them.  A failed check is a fault in one of the
+    bounds and raises RuntimeError.
+    """
+    if not 4 <= n <= 6:
+        raise UnsupportedInputError(f"exact strength supported for 4 <= n <= 6, got {n}")
+    lower = general_lb(n)[n]
+    built = construct_upper(n)
+    if len(built.removed) != lower:
+        raise RuntimeError(
+            f"bounds on K_{n} do not meet: L = {lower}, construction removes {len(built.removed)}"
+        )
+    if not is_gap_labelling(remove_edges(complete_graph(n), built.removed), built.labelling)[0]:
+        raise RuntimeError(f"the construction's labelling of K_{n} is not a gap labelling")
+    return lower
 
 
 # ---------------------------------------------------------------------------

@@ -276,19 +276,27 @@ def test_strength_exact_out_of_range(capsys):
     assert code == 1 and "error:" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--family", "complete"],
-    ["gen", "--family", "path-power", "--n", "5"],
-    ["label", "--family", "cycle-power", "--n", "9"],
-    ["decide", "--graph", "F", "--workers", "2"],
-    ["label", "--graph", "F", "--workers", "2"],
-    ["strength-lb", "--nmax", "6", "--format", "csv"],
-], ids=["gen-missing-n", "gen-missing-k", "label-missing-k", "decide-workers", "label-workers", "strength-lb-format"])
-def test_usage_error_exits_two(capsys, argv):
+# The last field is True where the error is one main raises after parsing;
+# its usage line is the subcommand's, like argparse's own for a missing --n.
+@pytest.mark.parametrize("argv, from_main", [
+    (["gen", "--family", "complete"], False),
+    (["gen", "--family", "path-power", "--n", "5"], True),
+    (["label", "--family", "cycle-power", "--n", "9"], True),
+    (["label", "--family", "complete"], True),
+    (["label"], True),
+    (["label", "--family", "complete", "--n", "4", "--graph", "F"], True),
+    (["decide", "--graph", "F", "--workers", "2"], False),
+    (["label", "--graph", "F", "--workers", "2"], False),
+    (["strength-lb", "--nmax", "6", "--format", "csv"], False),
+], ids=["gen-missing-n", "gen-missing-k", "label-missing-k", "label-missing-n",
+        "label-neither", "label-both", "decide-workers", "label-workers", "strength-lb-format"])
+def test_usage_error_exits_two(capsys, argv, from_main):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if from_main:
+        assert err.splitlines()[0].startswith(f"usage: gaplab {argv[0]} [-h]"), err
 
 
 HELP_ARGVS = [[], ["gen"], ["label"], ["verify"], ["decide"], ["chi"], ["strength-lb"],

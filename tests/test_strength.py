@@ -220,6 +220,33 @@ def test_exact_strength_matches_brute_force_search():
         assert exact_strength(n) == brute_force_strength(n)
 
 
+def test_exact_strength_is_where_the_bounds_meet():
+    # The construction removes exactly L(n) edges for n = 4..6 and more for
+    # every larger n checked, which is why exact_strength stops at 6.
+    lower = general_lb(3000)
+    for n in range(4, 7):
+        assert removal_schedule(n).total_removed == lower[n], n
+    for n in range(7, 3001):
+        assert removal_schedule(n).total_removed > lower[n], n
+
+
+def test_exact_strength_faults_when_the_bounds_part(monkeypatch):
+    real = strength.general_lb
+    monkeypatch.setattr(strength, "general_lb", lambda n_max: tuple(v + 1 for v in real(n_max)))
+    with pytest.raises(RuntimeError, match="do not meet"):
+        exact_strength(6)
+
+
+def test_exact_strength_faults_on_an_invalid_construction(monkeypatch):
+    real = strength.construct_upper
+    # All ones colours every vertex of degree >= 2 with 0, so adjacent ones clash.
+    monkeypatch.setattr(
+        strength, "construct_upper", lambda n: real(n)._replace(labelling=(1,) * n)
+    )
+    with pytest.raises(RuntimeError, match="not a gap labelling"):
+        exact_strength(6)
+
+
 def test_exact_strength_rejects_out_of_range():
     with pytest.raises(UnsupportedInputError):
         exact_strength(3)
