@@ -22,22 +22,23 @@ ones, or a "bottom" mark, below all of them.  The largest neighbour mark of
 a vertex is then its first top neighbour's and the smallest its first bottom
 neighbour's, so a vertex of degree >= 2 is pinned, for good, once it has
 one of each (or once all its neighbours are placed), and by the clash rule
-a leaf need never be pinned.  The search stores bottom marks
-negated, so a placed mark's sign tells its side, a pinned gap is the sum of
-the two first marks, and one loop serves both sides.  Pins are kept per
-vertex and updated only at the neighbours of each placed vertex, so a search
-node costs O(degree), and dense graphs are refuted after a couple of
-placements.  The search is one walk with an explicit stack, so its depth is
-not bounded by the interpreter's recursion limit; the stack's root frame
-tries the first mark on one vertex per twin class (vertices with equal open
-or equal closed neighbourhoods, which an automorphism swaps), and the frame
-below it only bottoms numbered above the top.  That second cut is exact
-because, by the clash rule, reversing the order of a valid mark labelling
-keeps it valid: the reversal only swaps the two ends of every extreme pair.
+a leaf need never be pinned.  Every vertex pinned when a vertex v is placed
+has v's mark in its extreme pair, and no vertex pinned earlier has, so a
+node clashes exactly when two adjacent vertices it would pin share the
+other end of their pair.  The search tests that before placing v and skips
+the node if it fails, so a placed vertex never clashes, no colour is
+stored, and entering or undoing a node costs O(degree).  The search is one
+walk with an explicit stack, so its depth is not bounded by the
+interpreter's recursion limit; the stack's root frame tries the first mark
+on one vertex per twin class (vertices with equal open or equal closed
+neighbourhoods, which an automorphism swaps), and the frame below it only
+bottoms numbered above the top.  That second cut is exact because, by the
+clash rule, reversing the order of a valid mark labelling keeps it valid:
+the reversal only swaps the two ends of every extreme pair.
 
 ``shared_gap_certificate`` returns the paper's refutation of complete graphs
-and path and cycle powers, which is the search's depth-1 test, as checkable
-data for any graph it refutes.
+and path and cycle powers, which is the search's node test at depth 1, as
+checkable data for any graph it refutes.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ DecisionResult = namedtuple("DecisionResult", "labelable witness assignments_tri
 def _search(
     g: Graph, firsts: Iterable[int], budget: int | None
 ) -> tuple[Labelling | None, int]:
-    """Depth-first mark assignment with early colour pinning.
+    """Depth-first mark assignment that refutes each node before placing it.
 
     Returns the witness (or None) and the number of search nodes entered.
 
@@ -69,42 +70,32 @@ def _search(
     bottoms.  Tops are placed in falling order and bottoms in rising order,
     so a vertex's first top neighbour holds its largest neighbour mark and
     its first bottom neighbour its smallest, whatever is placed later.  So a
-    vertex of degree >= 2 has its colour fixed, and pinned, as soon as it
-    has both a top and a bottom neighbour (the first top mark minus the
-    first bottom mark) or all its neighbours are placed (with no neighbour
-    on one side, the mark just placed is that side's extreme).  A leaf is
-    never pinned: by the clash rule (module docstring) it can neither clash
-    nor cause a clash, so leaving it unpinned changes no node.
+    vertex of degree >= 2 has its colour fixed, or pinned, for good as soon
+    as it has both a top and a bottom neighbour, or all its neighbours are
+    placed: its extreme pair is then known.  A leaf is never pinned: by the
+    clash rule (module docstring) it can neither clash nor cause a clash.
+    Bottom marks are stored negated, so a mark's sign tells its side:
+    ``mine`` is the side of the mark being placed and ``other`` the opposite
+    one.  The witness drops the signs.
 
-    Marks are signed: ``depth_marks`` holds ``+top`` at even depths and
-    ``-bottom`` at odd ones, and ``label``, ``first_top`` and
-    ``first_bottom`` keep them so.  Top minus bottom is then
-    ``first_top + first_bottom``, and with all neighbours placed the gap is
-    ``first - s`` on either side, where ``first`` is the vertex's first mark
-    on the side of the mark ``s`` just placed.  One rule covers both pins,
-    ``first + (other[u] or -s)``, and its value is never 0, the "not pinned"
-    mark: with both sides placed it is top minus bottom, and with one side
-    fully placed degree >= 2 makes ``first`` differ from ``s``.  Each node
-    picks its side (``mine``, and ``other`` for the opposite one) from the
-    sign of ``s``, and undo from the sign of the popped label, so the
-    per-neighbour work never tests the side.  The witness drops the signs.
-
-    This is exact: recomputing every colour from the placed labels, and
-    pinning a partial one when its largest placed neighbour mark beats every
-    unplaced mark and its smallest is beaten by every unplaced mark, pins
-    the same vertices of degree >= 2 at the same colours, because a placed
-    mark beats every unplaced one exactly when it is a top mark.  Placing a
-    vertex touches only its neighbours' state (placed-neighbour count, first
-    top mark, first bottom mark), so a node costs O(deg) to enter and to
-    undo.  Pins never move, so only a vertex pinned at this node can create
-    a clash, and only those are checked against their neighbours.
-
-    Depth 1 needs no placement.  A vertex pinned at a node has the node's
-    vertex in its extreme pair, so none is pinned at depth 0 (a leaf is
-    never pinned), and the bottom v below the top t pins exactly N(t) &
-    N(v), at the one colour mark(t) - mark(v).  So the node clashes iff that
-    set spans an edge (the shared-gap argument of ``shared_gap_certificate``),
-    and is then counted and skipped, with v still linked.
+    The node lemma.  Placing v pins two kinds of neighbour u of v: those
+    that get their second side now, and those whose last unplaced neighbour
+    is v.  Each one's extreme pair is v's mark and one placed mark, its key:
+    the first opposite-side mark in the first case, the first same-side mark
+    in the second.  A vertex pinned earlier has an extreme pair of placed
+    marks, without v's, and distinct pairs give distinct colours (the marks
+    are a Golomb ruler), so a clash at this node is two adjacent vertices
+    pinned here with one key.  The node is tested for that before v is
+    placed; if it clashes it is counted and skipped, and if not it is placed
+    and no vertex it pins ever clashes.  "Pinned already" needs no colour
+    either: v is unplaced, so a neighbour u of v is pinned exactly when
+    ``first_top[u]`` and ``first_bottom[u]`` are both set.  (At depth 0
+    nothing is pinned, and the bottom v below the top t pins N(t) & N(v),
+    every one keyed by t's mark: the shared-gap argument of
+    ``shared_gap_certificate``.)
+    Placing touches only the neighbours' state (placed-neighbour count,
+    first top mark, first bottom mark), so a node costs O(deg) to enter and
+    to undo, and its test one set test per vertex it would pin.
 
     The unplaced vertices form a doubly linked list in ascending order, with
     head n (Knuth's dancing links): a placed vertex is unlinked and keeps
@@ -113,11 +104,10 @@ def _search(
     candidate: the root frame tries ``firsts``, the frame below a top t
     starts at ``nxt[t]``, the unplaced vertex after t (the bottoms b > t),
     and every other frame at ``nxt[n]``, the least unplaced vertex.  Once
-    the node at v is undone, the frame's next candidate is ``nxt[v]``, and
-    the head n ends it; a frame below a clash is empty.  No frame rescans
-    the placed vertices, so a walk that never backtracks costs O(n + m).
-    Every node entered counts once in ``tried``, so a budget spans every
-    first vertex.
+    the node at v is skipped or undone, the frame's next candidate is
+    ``nxt[v]``, and the head n ends it.  No frame rescans the placed
+    vertices, so a walk that never backtracks costs O(n + m).  Every node
+    entered counts once in ``tried``, so a budget spans every first vertex.
 
     Precondition: ``firsts`` contains the least member of each automorphism
     orbit; more roots only add nodes.  Trying each (top, bottom) pair once
@@ -136,10 +126,11 @@ def _search(
     min T <= m.
     """
     n, adj = g.n, g.adjacency
+    nbrs = list(map(set, adj))
     marks = decision_marks(n)
     # Signed mark placed at each depth, outside-in: +largest, -smallest, ...
     depth_marks = [m for t, b in zip(reversed(marks), marks) for m in (t, -b)][:n]
-    # 0 for a leaf, which is never pinned: placed_nbrs never counts to 0.
+    # 0 for a leaf, which is never pinned: placed_nbrs + 1 never reaches 0.
     degree = [d if d > 1 else 0 for d in map(len, adj)]
     # No search enters sys.maxsize nodes, so no budget means no limit.
     limit = sys.maxsize if budget is None else budget
@@ -147,13 +138,10 @@ def _search(
     placed_nbrs = [0] * n
     first_top = [0] * n  # positive top marks
     first_bottom = [0] * n  # negated bottom marks
-    colour = [0] * n  # 0: not pinned; colours are positive
-    colour_of = colour.__getitem__
     # The unplaced vertices, ascending: a circular doubly linked list, head n.
     nxt = list(range(1, n + 1)) + [0]
     prv = [n] + list(range(n))
     path: list[int] = []  # vertex placed at each depth
-    pins: list[list[int]] = []  # vertices pinned on entering each depth
     roots = iter(firsts)
     v = next(roots, n)  # the next candidate at the current depth; n: none left
     tried = 0
@@ -162,8 +150,6 @@ def _search(
         if v == n:
             if not path:
                 return None, tried
-            for u in pins.pop():
-                colour[u] = 0
             done = path.pop()
             s = label[done]
             label[done] = 0
@@ -181,37 +167,37 @@ def _search(
         if tried > limit:
             raise SearchBudgetExceeded(tried, budget)
         depth = len(path)
-        if depth == 1:
-            # Refuted iff N(t) & N(v) spans an edge (see above).
-            common = top_nbrs.intersection(adj[v])
-            if any(not common.isdisjoint(adj[u]) for u in common):
-                v = nxt[v]
-                continue
-        elif not depth:
-            top_nbrs = set(adj[v])
         s = depth_marks[depth]
-        label[v] = s
-        nxt[prv[v]] = nxt[v]
-        prv[nxt[v]] = prv[v]
         mine, other = (first_top, first_bottom) if s > 0 else (first_bottom, first_top)
-        pinned = []
+        keyed: dict[int, list[int]] = {}  # the vertices v pins, by key
         for u in adj[v]:
-            placed_nbrs[u] += 1
-            first = mine[u]
-            if not first:
-                mine[u] = first = s
-            if not colour[u] and (other[u] or placed_nbrs[u] == degree[u]):
-                colour[u] = first + (other[u] or -s)
-                pinned.append(u)
-        path.append(v)
-        pins.append(pinned)
-        for u in pinned:
-            if colour[u] in map(colour_of, adj[u]):
-                v = n  # below a clash nothing is tried
+            key = other[u]
+            if key:
+                if mine[u]:
+                    continue  # pinned already
+            elif placed_nbrs[u] + 1 == degree[u]:
+                key = mine[u]
+            else:
+                continue
+            same = keyed.get(key)
+            if same is None:
+                keyed[key] = [u]
+            elif nbrs[u].isdisjoint(same):
+                same.append(u)
+            else:
+                v = nxt[v]  # a clash: skipped, not placed
                 break
         else:
+            label[v] = s
             if depth + 1 == n:
                 return tuple(map(abs, label)), tried
+            nxt[prv[v]] = nxt[v]
+            prv[nxt[v]] = prv[v]
+            for u in adj[v]:
+                placed_nbrs[u] += 1
+                if not mine[u]:
+                    mine[u] = s
+            path.append(v)
             # Reversal break: below the top v, only bottoms above it.
             v = nxt[v] if depth == 0 else nxt[n]
 
@@ -232,9 +218,10 @@ def shared_gap_certificate(g: Graph) -> dict[tuple[int, int], tuple[int, int]] |
     degree >= 2 and sees both extremes, so its colour is l(x) - l(y), and
     the two ends of an edge inside N(x) & N(y) clash.  The dict has an entry
     for the pair {x, y}, whichever of the two is numbered lower, so no
-    labelling is valid.  Each entry holds the least such edge, u < w.  None
-    means only that this proof does not apply: the graph may still have no
-    labelling.
+    labelling is valid.  Each entry holds the least such edge, u < w, and
+    is a clash that refutes ``_search``'s node with top t and bottom b
+    before b is placed.  None means only that this proof does not apply:
+    the graph may still have no labelling.
     """
     _require_searchable(g)
     adj = g.adjacency

@@ -147,6 +147,20 @@ def full_recompute_decide(g):
     return None, searcher.tried
 
 
+def outside_in_marks(n):
+    """The mark placed at each depth, outside-in: largest, smallest, ..."""
+    marks = decision_marks(n)
+    depth_marks = []
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        depth_marks.append(marks[hi])
+        if lo < hi:
+            depth_marks.append(marks[lo])
+        lo += 1
+        hi -= 1
+    return depth_marks
+
+
 def reference_search(g, firsts, budget):
     """Oracle for ``_search``: the same walk, written without its shortcuts.
 
@@ -159,16 +173,7 @@ def reference_search(g, firsts, budget):
     with the same count as the library search.
     """
     n, adj = g.n, g.adjacency
-    marks = decision_marks(n)
-    # Mark placed at each depth, outside-in: largest, smallest, ...
-    depth_marks = []
-    lo, hi = 0, n - 1
-    while lo <= hi:
-        depth_marks.append(marks[hi])
-        if lo < hi:
-            depth_marks.append(marks[lo])
-        lo += 1
-        hi -= 1
+    depth_marks = outside_in_marks(n)
     label = [0] * n  # 0: unplaced; marks are positive
     placed_nbrs = [0] * n
     first_top = [0] * n
@@ -450,7 +455,7 @@ def test_search_matches_the_reference_walk_at_corpus_sizes():
     # outcomes are compared.  The 36 G(n, 0.8) graphs come last, so the
     # others are drawn as before; each is refuted in at most 210 nodes, 40
     # stops all of them, and 4,328 of their 4,881 nodes are depth-1 nodes
-    # refuted without a placement.
+    # that clash (refuted, like every node that clashes, before placement).
     rng = random.Random(1515)
     graphs = [
         random_connected(rng, n, p)
@@ -496,6 +501,86 @@ def test_a_bottom_whose_common_neighbourhood_spans_an_edge_clashes():
                     labels[v] = m
                 assert not is_gap_labelling(g, labels)[0], (sorted(g.edges), t, b)
     assert pairs == 9646
+
+
+def test_a_node_clashes_iff_two_adjacent_vertices_it_pins_share_a_partner():
+    # The lemma behind _search's node test, checked without a search: along
+    # random outside-in orders every colour that a prefix fixes is recomputed
+    # from scratch, leaves included.  A vertex of degree >= 2 first pinned at
+    # depth d has the mark placed at d in its extreme pair; its partner is
+    # the other, already placed, end.  A clash first appears at depth d
+    # exactly when two adjacent vertices pinned at d share their partner.
+    # The depth-1 case is checked on whole orders by
+    # test_a_bottom_whose_common_neighbourhood_spans_an_edge_clashes.
+    rng = random.Random(2828)
+    first_clash = []
+    for _ in range(400):
+        n = rng.randint(6, 14)
+        g = random_connected(rng, n, rng.choice((0.15, 0.25, 0.35, 0.5)))
+        adj = g.adjacency
+        depth_marks = outside_in_marks(n)
+        for _ in range(8):
+            order = rng.sample(range(n), n)
+            label = [None] * n
+            colour = [None] * n
+            for depth, v in enumerate(order):
+                label[v] = depth_marks[depth]
+                rest = depth_marks[depth + 1:]
+                partner = {}
+                for u in range(n):
+                    vals = [label[w] for w in adj[u] if label[w] is not None]
+                    if len(vals) == len(adj[u]) == 1:
+                        now = vals[0]
+                    elif len(vals) == len(adj[u]) or (
+                        vals and max(vals) > max(rest) and min(vals) < min(rest)
+                    ):
+                        now = max(vals) - min(vals)
+                    else:
+                        assert colour[u] is None, (sorted(g.edges), order, u)
+                        continue
+                    if colour[u] is not None:
+                        assert now == colour[u], (sorted(g.edges), order, u)
+                        continue
+                    colour[u] = now
+                    if len(adj[u]) > 1:
+                        ends = {max(vals), min(vals)}
+                        assert label[v] in ends, (sorted(g.edges), order, u)
+                        (partner[u],) = ends - {label[v]}
+                clash = any(
+                    colour[u] is not None and colour[u] == colour[w] for u, w in g.edges
+                )
+                shared = any(
+                    u in partner and w in partner and partner[u] == partner[w]
+                    for u, w in g.edges
+                )
+                assert clash == shared, (sorted(g.edges), order, depth)
+                if clash:
+                    first_clash.append(depth)
+                    break
+            else:
+                assert is_gap_labelling(g, label)[0], (sorted(g.edges), order)
+    # 776 of the 3,200 orders clash, first at every depth from 1 to 11
+    assert len(first_clash) == 776 and set(first_clash) == set(range(1, 12))
+
+
+def test_search_matches_the_reference_walk_on_all_graphs_up_to_order_five():
+    graphs = 0
+    for n in range(2, 6):
+        pool = list(combinations(range(n), 2))
+        for bits in range(1 << len(pool)):
+            g = graph_from_edges(n, [pool[i] for i in range(len(pool)) if bits >> i & 1])
+            if not is_connected(g):
+                continue
+            graphs += 1
+            for firsts in (orbit_representatives(g), range(n)):
+                witness, tried = reference_search(g, firsts, None)
+                assert _search(g, firsts, None) == (witness, tried), sorted(g.edges)
+                with pytest.raises(SearchBudgetExceeded) as expected:
+                    reference_search(g, firsts, tried // 2)
+                with pytest.raises(SearchBudgetExceeded) as got:
+                    _search(g, firsts, tried // 2)
+                assert got.value.tried == expected.value.tried, sorted(g.edges)
+    assert graphs == 771
 
 
 def shared_gap_edges(n, edges):
@@ -564,8 +649,11 @@ def test_twin_roots_keep_every_verdict_on_all_order_six_graphs():
         if not is_connected(g):
             continue
         graphs += 1
-        witness, _ = _search(g, orbit_representatives(g), None)
-        every, _ = _search(g, range(6), None)
+        firsts = orbit_representatives(g)
+        witness, tried = _search(g, firsts, None)
+        every, every_tried = _search(g, range(6), None)
+        assert reference_search(g, firsts, None) == (witness, tried), sorted(g.edges)
+        assert reference_search(g, range(6), None) == (every, every_tried), sorted(g.edges)
         assert (witness is None) == (every is None), sorted(g.edges)
         for w in (witness, every):
             assert w is None or is_gap_labelling(g, w)[0], sorted(g.edges)
