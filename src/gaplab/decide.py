@@ -16,25 +16,27 @@ neighbour's mark, which is at least 2p**2 while every gap is at most
 2p**2 - p - 1, and the two ends of a K_2 hold distinct marks, so a leaf
 never clashes and never causes a clash.
 
-The search places marks from the outside in (largest, smallest, second
-largest, ...), so every placed mark is a "top" mark, above all unplaced
-ones, or a "bottom" mark, below all of them.  The largest neighbour mark of
-a vertex is then its first top neighbour's and the smallest its first bottom
-neighbour's, so a vertex of degree >= 2 is pinned, for good, once it has
-one of each (or once all its neighbours are placed), and by the clash rule
-a leaf need never be pinned.  Every vertex pinned when a vertex v is placed
-has v's mark in its extreme pair, and no vertex pinned earlier has, so a
-node clashes exactly when two adjacent vertices it would pin share the
-other end of their pair.  The search tests that before placing v and skips
-the node if it fails, so a placed vertex never clashes, no colour is
-stored, and entering or undoing a node costs O(degree).  The search is one
-walk with an explicit stack, so its depth is not bounded by the
-interpreter's recursion limit; the stack's root frame tries the first mark
-on one vertex per twin class (vertices with equal open or equal closed
-neighbourhoods, which an automorphism swaps), and the frame below it only
-bottoms numbered above the top.  That second cut is exact because, by the
-clash rule, reversing the order of a valid mark labelling keeps it valid:
-the reversal only swaps the two ends of every extreme pair.
+The search builds a vertex order from the outside in: the vertex at depth d
+takes the (d // 2)-th largest mark if d is even, a "top", above every
+unplaced vertex, and the (d // 2)-th smallest if d is odd, a "bottom",
+below all of them.  By the clash rule validity depends on the order alone,
+so the search keys its state by depth and puts the marks on the finished
+order once.  A vertex's highest-ranked neighbour is then its first top
+neighbour and its lowest its first bottom neighbour, so a vertex of degree
+>= 2 is pinned, for good, once it has one of each (or once all its
+neighbours are placed), and by the clash rule a leaf need never be pinned.
+Every vertex pinned when a vertex v is placed has v in its extreme pair,
+and no vertex pinned earlier has, so a node clashes exactly when two
+adjacent vertices it would pin share the other end of their pair.  The
+search tests that before placing v and skips the node if it fails, so a
+placed vertex never clashes, no colour is stored, and entering or undoing
+a node costs O(degree).  The search is one walk with an explicit stack, so
+its depth is not bounded by the interpreter's recursion limit; the stack's
+root frame tries one vertex per twin class (vertices with equal open or
+equal closed neighbourhoods, which an automorphism swaps) as the top, and
+the frame below it only bottoms numbered above the top.  That second cut
+is exact because, by the clash rule, reversing a valid vertex order keeps
+it valid: the reversal only swaps the two ends of every extreme pair.
 
 ``shared_gap_certificate`` returns the paper's refutation of complete graphs
 and path and cycle powers, which is the search's node test at depth 1, as
@@ -60,41 +62,45 @@ DecisionResult = namedtuple("DecisionResult", "labelable witness assignments_tri
 def _search(
     g: Graph, firsts: Iterable[int], budget: int | None
 ) -> tuple[Labelling | None, int]:
-    """Depth-first mark assignment that refutes each node before placing it.
+    """Depth-first vertex ordering that refutes each node before placing it.
 
     Returns the witness (or None) and the number of search nodes entered.
 
-    Marks go down outside-in, so every placed mark is either a "top" mark,
-    above all unplaced ones, or a "bottom" mark, below all of them; even
-    depths place tops (the middle mark of an odd n included) and odd depths
-    bottoms.  Tops are placed in falling order and bottoms in rising order,
-    so a vertex's first top neighbour holds its largest neighbour mark and
-    its first bottom neighbour its smallest, whatever is placed later.  So a
-    vertex of degree >= 2 has its colour fixed, or pinned, for good as soon
-    as it has both a top and a bottom neighbour, or all its neighbours are
-    placed: its extreme pair is then known.  A leaf is never pinned: by the
-    clash rule (module docstring) it can neither clash nor cause a clash.
-    Bottom marks are stored negated, so a mark's sign tells its side:
-    ``mine`` is the side of the mark being placed and ``other`` the opposite
-    one.  The witness drops the signs.
+    The order goes down outside-in: even depths place tops (the middle rank
+    of an odd n included), ranked above every unplaced vertex, and odd
+    depths bottoms, ranked below all of them.  Tops are placed in falling
+    rank and bottoms in rising rank, so a vertex's first top neighbour is
+    its highest-ranked neighbour and its first bottom neighbour its lowest,
+    whatever is placed later.  So a vertex of degree >= 2 has its colour
+    fixed, or pinned, for good as soon as it has both a top and a bottom
+    neighbour, or all its neighbours are placed: its extreme pair is then
+    known.  A leaf is never pinned: by the clash rule (module docstring) it
+    can neither clash nor cause a clash.  Each placed vertex is known to its
+    neighbours by its key, depth + 1 (0 is "none"), which names it as one
+    mark would, since depths and marks correspond one to one; ``mine`` is
+    the side of the depth being placed, by its parity, and ``other`` the
+    opposite one.  Only the finished order gets marks: depth d takes the
+    (d // 2)-th largest mark if d is even and the (d // 2)-th smallest if d
+    is odd, so the vertices in rank order are the bottoms in the order
+    placed, then the tops in reverse.
 
     The node lemma.  Placing v pins two kinds of neighbour u of v: those
     that get their second side now, and those whose last unplaced neighbour
-    is v.  Each one's extreme pair is v's mark and one placed mark, its key:
-    the first opposite-side mark in the first case, the first same-side mark
-    in the second.  A vertex pinned earlier has an extreme pair of placed
-    marks, without v's, and distinct pairs give distinct colours (the marks
-    are a Golomb ruler), so a clash at this node is two adjacent vertices
-    pinned here with one key.  The node is tested for that before v is
-    placed; if it clashes it is counted and skipped, and if not it is placed
-    and no vertex it pins ever clashes.  "Pinned already" needs no colour
-    either: v is unplaced, so a neighbour u of v is pinned exactly when
-    ``first_top[u]`` and ``first_bottom[u]`` are both set.  (At depth 0
-    nothing is pinned, and the bottom v below the top t pins N(t) & N(v),
-    every one keyed by t's mark: the shared-gap argument of
+    is v.  Each one's extreme pair is v and one placed vertex w, and u is
+    keyed by w's key: w is u's first neighbour on the other side in the
+    first case, its first on v's side in the second.  A vertex pinned
+    earlier has an extreme pair of placed vertices, without v, and distinct
+    pairs give distinct colours (the marks are a Golomb ruler), so a clash
+    at this node is two adjacent vertices pinned here with one key.  The
+    node is tested for that before v is placed; if it clashes it is counted
+    and skipped, and if not it is placed and no vertex it pins ever clashes.
+    "Pinned already" needs no colour either: v is unplaced, so a neighbour
+    u of v is pinned exactly when ``first_top[u]`` and ``first_bottom[u]``
+    are both set.  (At depth 0 nothing is pinned, and the bottom v below the
+    top t pins N(t) & N(v), every one keyed by t: the shared-gap argument of
     ``shared_gap_certificate``.)
     Placing touches only the neighbours' state (placed-neighbour count,
-    first top mark, first bottom mark), so a node costs O(deg) to enter and
+    first top key, first bottom key), so a node costs O(deg) to enter and
     to undo, and its test one set test per vertex it would pin.
 
     The unplaced vertices form a doubly linked list in ascending order, with
@@ -111,13 +117,13 @@ def _search(
 
     Precondition: ``firsts`` contains the least member of each automorphism
     orbit; more roots only add nodes.  Trying each (top, bottom) pair once
-    is then exact.  Reversing the vertex order keeps a mark labelling's
-    verdict (see the module docstring), so take a valid one with top t and
-    bottom b, and an automorphism taking t to r, the least member of t's
-    orbit.  If it takes b above r, the search tries that pair.  Otherwise
-    reverse the order and map the new top to the least member r2 of its
-    orbit, so r2 < r.  The new bottom lies in t's orbit, whose least member
-    is r, so it is at least r, above r2, and the search tries that pair.
+    is then exact.  Reversing a vertex order keeps its verdict (see the
+    module docstring), so take a valid one with top t and bottom b, and an
+    automorphism taking t to r, the least member of t's orbit.  If it takes
+    b above r, the search tries that pair.  Otherwise reverse the order and
+    map the new top to the least member r2 of its orbit, so r2 < r.  The
+    new bottom lies in t's orbit, whose least member is r, so it is at
+    least r, above r2, and the search tries that pair.
 
     ``decide`` roots the search at ``orbit_representatives``, the least
     member of each twin class, and those contain every orbit minimum: a
@@ -127,17 +133,15 @@ def _search(
     """
     n, adj = g.n, g.adjacency
     nbrs = list(map(set, adj))
-    marks = decision_marks(n)
-    # Signed mark placed at each depth, outside-in: +largest, -smallest, ...
-    depth_marks = [m for t, b in zip(reversed(marks), marks) for m in (t, -b)][:n]
     # 0 for a leaf, which is never pinned: placed_nbrs + 1 never reaches 0.
     degree = [d if d > 1 else 0 for d in map(len, adj)]
     # No search enters sys.maxsize nodes, so no budget means no limit.
     limit = sys.maxsize if budget is None else budget
-    label = [0] * n  # 0: unplaced; else the signed mark
     placed_nbrs = [0] * n
-    first_top = [0] * n  # positive top marks
-    first_bottom = [0] * n  # negated bottom marks
+    first_top = [0] * n  # depth + 1 of the first top neighbour; 0: none
+    first_bottom = [0] * n  # depth + 1 of the first bottom neighbour; 0: none
+    # (mine, other) by the parity of the depth: tops even, bottoms odd.
+    sides = ((first_top, first_bottom), (first_bottom, first_top))
     # The unplaced vertices, ascending: a circular doubly linked list, head n.
     nxt = list(range(1, n + 1)) + [0]
     prv = [n] + list(range(n))
@@ -151,14 +155,14 @@ def _search(
             if not path:
                 return None, tried
             done = path.pop()
-            s = label[done]
-            label[done] = 0
+            depth = len(path)
+            key = depth + 1  # done's key in its neighbours' state
             nxt[prv[done]] = done
             prv[nxt[done]] = done
-            mine = first_top if s > 0 else first_bottom
+            mine = sides[depth & 1][0]
             for u in adj[done]:
                 placed_nbrs[u] -= 1
-                if mine[u] == s:
+                if mine[u] == key:
                     mine[u] = 0
             v = nxt[done] if path else next(roots, n)
             continue
@@ -167,8 +171,7 @@ def _search(
         if tried > limit:
             raise SearchBudgetExceeded(tried, budget)
         depth = len(path)
-        s = depth_marks[depth]
-        mine, other = (first_top, first_bottom) if s > 0 else (first_bottom, first_top)
+        mine, other = sides[depth & 1]
         keyed: dict[int, list[int]] = {}  # the vertices v pins, by key
         for u in adj[v]:
             key = other[u]
@@ -188,18 +191,22 @@ def _search(
                 v = nxt[v]  # a clash: skipped, not placed
                 break
         else:
-            label[v] = s
-            if depth + 1 == n:
-                return tuple(map(abs, label)), tried
+            path.append(v)
+            key = depth + 1  # v's key in its neighbours' state
+            if key == n:
+                # Rank order: the bottoms rising, then the tops rising.
+                label = [0] * n
+                for m, u in zip(decision_marks(n), path[1::2] + path[::2][::-1]):
+                    label[u] = m
+                return tuple(label), tried
             nxt[prv[v]] = nxt[v]
             prv[nxt[v]] = prv[v]
             for u in adj[v]:
                 placed_nbrs[u] += 1
                 if not mine[u]:
-                    mine[u] = s
-            path.append(v)
+                    mine[u] = key
             # Reversal break: below the top v, only bottoms above it.
-            v = nxt[v] if depth == 0 else nxt[n]
+            v = nxt[v] if key == 1 else nxt[n]
 
 
 def _require_searchable(g: Graph) -> None:
@@ -240,9 +247,10 @@ def shared_gap_certificate(g: Graph) -> dict[tuple[int, int], tuple[int, int]] |
 def decide(g: Graph, *, budget: int | None = None) -> DecisionResult:
     """Decide gap-vertex-labelability; returns a witness if one exists.
 
-    The witness is the mark labelling the search completed.  The pinning rule
-    is exact (see ``_search``), so the witness is a gap-vertex-labelling by
-    construction; ``is_gap_labelling`` is the independent check.
+    The witness is the marks put on the vertex order the search completed.
+    The pinning rule is exact (see ``_search``), so the witness is a
+    gap-vertex-labelling by construction; ``is_gap_labelling`` is the
+    independent check.
     """
     _require_searchable(g)
     witness, tried = _search(g, orbit_representatives(g), budget)

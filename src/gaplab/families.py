@@ -10,10 +10,6 @@ other.
 
 The non-labelable members are refuted by the shared-gap argument, which
 ``decide.shared_gap_certificate`` turns into checkable data for any graph.
-
-One table at the bottom of the module maps each family name to its
-generator and labelling; ``build_family`` and ``family_labelling`` dispatch
-through it.
 """
 
 from __future__ import annotations
@@ -33,34 +29,28 @@ class FamilySpec(namedtuple("FamilySpec", "family n k")):
     __slots__ = ()
 
     def __new__(cls, family: str, n: int, k: int | None = None):
-        if family not in _FAMILIES:
+        if family not in (COMPLETE, PATH_POWER, CYCLE_POWER):
             raise ValueError(f"unknown family {family!r}")
         if family != COMPLETE and k is None:
             raise ValueError(f"{family} needs a power k")
         return super().__new__(cls, family, n, k)
 
 
-_GENERATOR, _LABELLING = range(2)  # the columns of ``_FAMILIES``
-
-
-def _call(spec: FamilySpec, column: int):
-    """Call the function in ``column`` of the spec's row on (n,) or (n, k).
-
-    The function is looked up by name in this module's globals, so a wrapper
-    installed on the module attribute (as perfbench's tracer does) is the one
-    called.
-    """
-    fn = globals()[_FAMILIES[spec.family][column].__name__]
-    return fn(spec.n) if spec.family == COMPLETE else fn(spec.n, spec.k)
-
-
 def build_family(spec: FamilySpec) -> Graph:
-    return _call(spec, _GENERATOR)
+    if spec.family == COMPLETE:
+        return complete_graph(spec.n)
+    if spec.family == PATH_POWER:
+        return path_power(spec.n, spec.k)
+    return cycle_power(spec.n, spec.k)
 
 
 def family_labelling(spec: FamilySpec) -> Labelling:
     """The family's explicit labelling; DomainError if the member has none."""
-    return _call(spec, _LABELLING)
+    if spec.family == COMPLETE:
+        return construct_complete_labelling(spec.n)
+    if spec.family == PATH_POWER:
+        return construct_path_power_labelling(spec.n, spec.k)
+    return construct_cycle_power_labelling(spec.n, spec.k)
 
 
 def labelable_complete(n: int) -> bool:
@@ -107,12 +97,3 @@ def construct_cycle_power_labelling(n: int, k: int) -> Labelling:
         return (1, 8, 4, 4, 4, 4, 2)
     half = (n + 1) // 2  # ceil(n/2): first index of the decreasing side
     return tuple(1 << i if i < half else 1 << (half + n - i) for i in range(n))
-
-
-# family -> (generator, labelling), each taking (n,) for the complete family
-# and (n, k) otherwise.
-_FAMILIES = {
-    COMPLETE: (complete_graph, construct_complete_labelling),
-    PATH_POWER: (path_power, construct_path_power_labelling),
-    CYCLE_POWER: (cycle_power, construct_cycle_power_labelling),
-}

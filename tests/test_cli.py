@@ -243,6 +243,22 @@ def test_strength_ub_stdout_digest(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 digests of decide's whole output: the verdict, the node count and
+# every witness line, at orders up to 400.
+@pytest.mark.parametrize("family, n, k, digest", [
+    ("path-power", 50, 1, "bc3298fb98c87462a09057e783ead5672cb7150cefb344ac736e625e7750d4a2"),
+    ("path-power", 7, 3, "d674c6cdc12e744adffb17257df36d832c79fb1d343e2d8b3bd0da5501aadee8"),
+    ("cycle-power", 120, 5, "660ce32bef58b7348a82f48e3426315c0689e70649aeea0a8f57fcb291afa17f"),
+    ("path-power", 400, 3, "aeb9095f6ea1717bafc3f1ceba4e060268cd4dd4c2516ba335ff5ce00910617f"),
+])
+def test_decide_stdout_digest(tmp_path, capsys, family, n, k, digest):
+    graph_file = tmp_path / "g.graph"
+    graph_file.write_text(serialize_graph(build_family(FamilySpec(family, n, k))))
+    code, out, err = run(capsys, "decide", "--graph", str(graph_file))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_strength_ub_prefix_file_digests(tmp_path, capsys):
     prefix = tmp_path / "k200"
     code, out, err = run(capsys, "strength-ub", "--n", "200", "-o", str(prefix))

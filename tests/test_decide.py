@@ -164,12 +164,15 @@ def outside_in_marks(n):
 def reference_search(g, firsts, budget):
     """Oracle for ``_search``: the same walk, written without its shortcuts.
 
-    It keeps marks unsigned, so a pinned gap is top minus bottom; it tests
-    per neighbour whether the node places a top or a bottom mark, looks
-    degrees up through the adjacency and finds clashes with a nested
-    ``any``, and builds each frame as a list of every vertex, filtered at
-    depth 1 to the vertices numbered above the top, from which it skips the
-    placed ones.  It must still visit the same nodes, in the same order,
+    It keeps the unsigned marks themselves, placing each depth's mark and
+    computing each pinned colour as top minus bottom, while the library
+    keys its state by depth and puts marks only on a finished order; that
+    difference is what keeps this oracle independent of the library's
+    depth-to-mark map.  It tests per neighbour whether the node places a
+    top or a bottom mark, looks degrees up through the adjacency and finds
+    clashes with a nested ``any``, and builds each frame as a list of every
+    vertex, filtered at depth 1 to the vertices numbered above the top, from
+    which it skips the placed ones.  It must still visit the same nodes, in the same order,
     with the same count as the library search.
     """
     n, adj = g.n, g.adjacency
