@@ -264,66 +264,119 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
     when every k up to k_max fails; raises SearchBudgetExceeded when the cap
     is hit first, which is a different outcome from "no such k".
 
-    Labels go on vertices 0, 1, ... in order, each trying 1..k.  When every
-    vertex has degree >= 2, vertex 0 tries only k // 2 + 1..k, one label of
-    each pair {x, k + 1 - x}.  This is exact: every colour is then a gap,
-    max - min of the neighbour labels, and mapping each label x to k + 1 - x
-    keeps every gap, so a labelling and its reflection are valid together.
-    Vertex 0 starts its count at k // 2 instead of 0, so the break costs no
-    work per attempt.  A graph with a leaf keeps the full walk, because a
-    degree-one colour is a whole label, which the reflection changes: P_3 at
-    k = 2 is valid as (2, 2, 1) but not as (1, 1, 2).
+    Labels go on vertices 0, 1, ... in order, each trying 1..k, and every
+    label tried counts once against the budget.  A vertex's colour is pinned,
+    for good, as soon as the labels already placed decide it:
+    - when its last unlabelled neighbour is labelled: the colour is that
+      label for a leaf, and hi - lo otherwise;
+    - when it has degree >= 2 and its labelled neighbours hold both 1 and k.
+      Every label lies in 1..k, so its largest neighbour label is then k and
+      its smallest 1, and its colour is k - 1 whatever the others get.
+    A vertex pinned at an attempt is tested against its pinned neighbours,
+    those pinned earlier at the same attempt included.  A pinned colour
+    never changes, so a clash found on a partial labelling stays in every
+    completion, and every edge is tested when its second end is pinned, so
+    a labelling of all n vertices with no clash is valid.  The second rule
+    only pins earlier than the first, so it removes attempts, never answers.
+
+    Each vertex keeps ``hi`` and ``lo``, the largest and smallest labels
+    among its labelled neighbours; pinned vertices keep a colour (-1: not
+    pinned) and stop being updated.  Labels go on in index order, so v is
+    the last unlabelled neighbour of w exactly when v is ``last[w]``, the
+    highest-numbered neighbour of w.  Trying label x at v reads only v's
+    neighbours, so it costs O(deg v) plus one test per vertex it pins.
+    Only when the attempt passes and the walk advances past v are the
+    unpinned neighbours' extremes updated, and their old values go into v's
+    undo record with the vertices v pinned; backtracking to v restores that
+    record before v tries its next label.  The explicit stack is ``label``
+    with the undo records, so depth is not bounded by the recursion limit.
+
+    When every vertex has degree >= 2, vertex 0 tries only k // 2 + 1..k,
+    one label of each pair {x, k + 1 - x}.  This is exact: every colour is
+    then a gap, max - min of the neighbour labels, and mapping each label x
+    to k + 1 - x keeps every gap, so a labelling and its reflection are
+    valid together.  Vertex 0 starts its count at k // 2 instead of 0, so
+    the break costs no work per attempt.  A graph with a leaf keeps the full
+    walk, because a degree-one colour is a whole label, which the reflection
+    changes: P_3 at k = 2 is valid as (2, 2, 1) but not as (1, 1, 2).
     """
     _require_searchable(g)
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
     n = g.n
     adj = g.adjacency
-    # completes[v]: the vertices w whose colour becomes known once v, their
-    # highest-numbered neighbour, is labelled, each with its neighbours and
-    # the neighbours whose colour is known by then.  While the walk stands at
-    # v, every vertex up to v holds its current label, so those colours are
-    # current; w is tested against them alone.
-    completes: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
-        [] for _ in range(n)
-    ]
-    for w in range(n):
-        top = max(adj[w])
-        known = tuple(u for u in adj[w] if max(adj[u]) <= top)
-        completes[top].append((w, adj[w], known))
+    leaf = [len(a) == 1 for a in adj]
+    last = list(map(max, adj))  # highest-numbered neighbour
     # Reflection break: with no leaf, vertex 0 starts at k // 2.
-    reflect = min(map(len, adj)) >= 2
-    colour = [0] * n
-    colour_of = colour.__getitem__
+    reflect = not any(leaf)
+    # No search tries sys.maxsize labels, so no budget means no limit.
+    limit = sys.maxsize if budget is None else budget
     tried = 0
     for k in range(1, k_max + 1):
-        # The explicit stack is label itself: a vertex counts up to k from
-        # its start (0, or k // 2 for vertex 0 under the reflection break).
+        hi = [0] * n  # largest label among labelled neighbours; 0: none
+        lo = [k + 1] * n  # smallest; k + 1: none
+        colour = [-1] * n  # -1: not pinned
+        colour_of = colour.__getitem__
+        # undo[v], written when the walk advances past v: the vertices v
+        # pinned, and (w, hi, lo) from before v's label for each neighbour
+        # it updated.
+        undo: list = [None] * n
         label = [0] * n
         if reflect:
             label[0] = k // 2
         v = 0
         while v >= 0:
-            if label[v] == k:
+            x = label[v]
+            if x == k:
                 label[v] = 0
                 v -= 1
+                if v >= 0:
+                    pins, saved = undo[v]
+                    for w in pins:
+                        colour[w] = -1
+                    for w, high, low in saved:
+                        hi[w] = high
+                        lo[w] = low
                 continue
-            label[v] += 1
+            x += 1
+            label[v] = x
             tried += 1
-            if budget is not None and tried > budget:
+            if tried > limit:
                 raise SearchBudgetExceeded(tried, budget)
-            newly = completes[v]
-            for w, nbrs, _ in newly:
-                vals = [label[u] for u in nbrs]
-                colour[w] = vals[0] if len(vals) == 1 else max(vals) - min(vals)
-            # All of them are coloured before any is tested, so none is
-            # tested against a colour left over from v's previous label.
-            for w, _, known in newly:
-                if colour[w] in map(colour_of, known):
-                    break
+            pins = []
+            for w in adj[v]:
+                if colour[w] < 0:
+                    if last[w] == v:
+                        if leaf[w]:
+                            c = x
+                        else:
+                            high = hi[w]
+                            low = lo[w]
+                            c = (high if high > x else x) - (low if low < x else x)
+                    elif (x == k or hi[w] == k) and (x == 1 or lo[w] == 1):
+                        c = k - 1  # last[w] > v, so w is no leaf
+                    else:
+                        continue
+                    if c in map(colour_of, adj[w]):
+                        for u in pins:
+                            colour[u] = -1
+                        break
+                    colour[w] = c
+                    pins.append(w)
             else:
                 if v + 1 == n:
                     return k
+                saved = []
+                for w in adj[v]:
+                    if colour[w] < 0:
+                        high = hi[w]
+                        low = lo[w]
+                        saved.append((w, high, low))
+                        if x > high:
+                            hi[w] = x
+                        if x < low:
+                            lo[w] = x
+                undo[v] = pins, saved
                 v += 1
     return None
 

@@ -13,6 +13,7 @@ from gaplab import (
     distinctify,
     golomb_relabel,
     graph_from_edges,
+    induced_colouring,
     is_connected,
     is_gap_labelling,
     labelable_cycle_power,
@@ -406,14 +407,60 @@ def test_least_label_count_is_stable_under_larger_caps():
     assert vertex_gap_number(complete_graph(3), 9) == 4
 
 
-def test_least_label_count_agrees_with_product_enumeration():
-    def oracle(g, k_max):
-        for k in range(1, k_max + 1):
-            for labs in product(range(1, k + 1), repeat=g.n):
-                if is_gap_labelling(g, labs)[0]:
-                    return k
-        return None
+def least_label_count_by_enumeration(g, k_max):
+    """Oracle for ``vertex_gap_number``: every label vector, k by k."""
+    for k in range(1, k_max + 1):
+        for labs in product(range(1, k + 1), repeat=g.n):
+            if is_gap_labelling(g, labs)[0]:
+                return k
+    return None
 
+
+def completes_walk(g, k_max):
+    """Oracle for ``vertex_gap_number``: its walk without early pins.
+
+    Labels go on vertices in index order with the same reflection break and
+    the same count of labels tried, but each vertex w is coloured only once
+    its highest-numbered neighbour is labelled, from all its neighbours'
+    labels, and tested then against the neighbours coloured by that time.
+    The library pins every vertex at that point or earlier, so it tries a
+    subset of these labels, in the same order.  Returns (least k or None,
+    labels tried).
+    """
+    n, adj = g.n, g.adjacency
+    # completes[v]: each w whose highest-numbered neighbour is v, with the
+    # neighbours of w that are coloured by the time v is labelled.
+    completes = [[] for _ in range(n)]
+    for w in range(n):
+        top = max(adj[w])
+        known = [u for u in adj[w] if max(adj[u]) <= top]
+        completes[top].append((w, known))
+    reflect = min(map(len, adj)) >= 2
+    colour = [0] * n
+    tried = 0
+    for k in range(1, k_max + 1):
+        label = [0] * n
+        if reflect:
+            label[0] = k // 2
+        v = 0
+        while v >= 0:
+            if label[v] == k:
+                label[v] = 0
+                v -= 1
+                continue
+            label[v] += 1
+            tried += 1
+            for w, _ in completes[v]:
+                vals = [label[u] for u in adj[w]]
+                colour[w] = vals[0] if len(vals) == 1 else max(vals) - min(vals)
+            if all(colour[w] != colour[u] for w, known in completes[v] for u in known):
+                if v + 1 == n:
+                    return k, tried
+                v += 1
+    return None, tried
+
+
+def test_least_label_count_agrees_with_product_enumeration():
     rng = random.Random(3)
     cases = [complete_graph(3), path_power(5, 1), star(2), cycle_power(5, 1)]
     # no leaf, so vertex 0 tries only k // 2 + 1..k: at k = 2 that is label
@@ -422,7 +469,76 @@ def test_least_label_count_agrees_with_product_enumeration():
     cases += [cycle_power(4, 1), bowtie]
     cases += [random_connected(rng, 4) for _ in range(6)]
     for g in cases:
-        assert vertex_gap_number(g, 4) == oracle(g, 4)
+        assert vertex_gap_number(g, 4) == least_label_count_by_enumeration(g, 4)
+
+
+def test_least_label_count_agrees_with_product_enumeration_on_all_graphs_up_to_order_five():
+    graphs = 0
+    seen = set()
+    for n in range(2, 6):
+        pool = list(combinations(range(n), 2))
+        for bits in range(1 << len(pool)):
+            g = graph_from_edges(n, [pool[i] for i in range(len(pool)) if bits >> i & 1])
+            if not is_connected(g):
+                continue
+            graphs += 1
+            least = vertex_gap_number(g, 5)
+            assert least == least_label_count_by_enumeration(g, 5), sorted(g.edges)
+            seen.add(least)
+    assert graphs == 771 and seen == {1, 2, 3, 4, 5, None}
+
+
+def test_least_label_count_matches_the_completes_walk():
+    # Early pins only remove attempts: the library answers the same k within
+    # the reference's count of labels tried.  G(n, p) runs to k_max = 3,
+    # where the reference tries at most 60,081 labels; the pendant-tree
+    # graphs and C_n^2 are cheap at larger caps.
+    rng = random.Random(30)
+    cases = [
+        (random_connected(rng, n, p), 3)
+        for n, p, _ in product(range(6, 11), (0.3, 0.5, 0.7), range(2))
+    ]
+    cases += [(g, 4) for g in leafy_graphs(rng, range(6, 11))]
+    cases += [(cycle_power(n, 2), 6) for n in range(6, 13)]
+    answers = set()
+    fewer = 0
+    for g, k_max in cases:
+        least, tried = completes_walk(g, k_max)
+        assert vertex_gap_number(g, k_max, budget=tried) == least, sorted(g.edges)
+        try:
+            vertex_gap_number(g, k_max, budget=tried - 1)
+        except SearchBudgetExceeded:
+            pass
+        else:
+            fewer += 1
+        answers.add(least)
+    # 54 of the 60 graphs take strictly fewer attempts
+    assert answers == {1, 2, 3, 4, 5, None}
+    assert len(cases) == 60 and fewer >= 50, fewer
+
+
+def test_a_vertex_seeing_labels_1_and_k_has_colour_k_minus_1():
+    # The early-pin lemma, on induced_colouring alone: every label lies in
+    # 1..k, so once a vertex of degree >= 2 sees 1 and k its gap is k - 1,
+    # whatever its other neighbours hold.
+    rng = random.Random(1980)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        g = random_connected(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        k = rng.randint(1, 5)
+        labels = [rng.randint(1, k) for _ in range(n)]
+        for w in range(n):
+            if len(g.adjacency[w]) < 2:
+                continue
+            one, top, *others = rng.sample(g.adjacency[w], len(g.adjacency[w]))
+            labels[one], labels[top] = 1, k
+            for relabel in product(range(1, k + 1), repeat=len(others)):
+                for u, x in zip(others, relabel):
+                    labels[u] = x
+                assert induced_colouring(g, labels)[w] == k - 1, (sorted(g.edges), labels)
+                checked += 1
+    assert checked > 5_000
 
 
 def test_least_label_count_budget():
@@ -777,16 +893,20 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
     g = path_power(1200, 2)
     result = decide(g, budget=4 * g.n)
     assert result.labelable and is_gap_labelling(g, result.witness)[0]
-    assert vertex_gap_number(path_power(1200, 1), 3) == 2
+    # 6,892 labels tried; the budget turns a pruning regression into a failure
+    assert vertex_gap_number(path_power(1200, 1), 3, budget=4 * 1200 * 3) == 2
 
 
 def test_least_label_count_attempts_are_pinned():
     # the least budget that does not run out is the number of labels tried;
-    # K_3 and K_4 have no leaf, so vertex 0 tries only k // 2 + 1..k
+    # K_3, K_4 and C_8^2 have no leaf, so vertex 0 tries only k // 2 + 1..k.
+    # Without early pins (``completes_walk``) the counts are 42, 28, 1,514
+    # and 12,991.
     for g, k_max, attempts, least in (
-        (complete_graph(3), 5, 42, 4),
-        (path_power(6, 1), 3, 28, 2),
-        (complete_graph(4), 6, 1514, None),
+        (complete_graph(3), 5, 40, 4),
+        (path_power(6, 1), 3, 26, 2),
+        (complete_graph(4), 6, 1273, None),
+        (cycle_power(8, 2), 8, 5890, 5),
     ):
         assert vertex_gap_number(g, k_max, budget=attempts) == least
         with pytest.raises(SearchBudgetExceeded):
