@@ -11,6 +11,11 @@ Serialisation emits edges in lexicographic order.  Lines starting with ``#``
 are ignored on input so that annotated edge lists (such as removed-edge
 ledgers) stay loadable.
 
+Edge lines are written by one row writer, ``format_edge_rows``, which both
+``serialize_graph`` and the removed-edge ledger call once per text.  It
+names the vertices once per call and writes the edges of each lower end u
+as one join, "u v1\\nu v2\\n...", so its cost is per row, not per edge.
+
 Text that is exactly what ``serialize_graph`` writes (no comments, no empty
 lines, one space and a newline ending every line) is read in blocks of
 whole lines, about 64 KB each, so a multi-megabyte edge list needs about one
@@ -27,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque, namedtuple
 from collections.abc import Iterable
-from itertools import combinations, islice, repeat
+from itertools import islice, repeat
 from operator import lt
 
 from .errors import MissingEdgeError, ParseError
@@ -96,19 +101,29 @@ def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    """K_n: every pair of distinct vertices adjacent."""
+    """K_n: every pair of distinct vertices adjacent.
+
+    Row u is the vertices before u and after it, two slices of one
+    ``tuple(range(n))``, so the rows come out sorted without a sort.
+    """
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    return _build(n, combinations(range(n), 2))
+    vs = tuple(range(n))
+    return Graph(n, tuple(vs[:u] + vs[u + 1 :] for u in vs))
 
 
 def path_power(n: int, k: int) -> Graph:
-    """k-th power of the path P_n: u ~ v iff |u - v| <= k."""
+    """k-th power of the path P_n: u ~ v iff |u - v| <= k.
+
+    Row u is the up to k vertices on each side of u, sliced as in
+    ``complete_graph``.
+    """
     if n < 2:
         raise ValueError(f"path power needs n >= 2, got {n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"path power needs 1 <= k <= n-1, got k={k} for n={n}")
-    return _build(n, ((u, v) for u in range(n) for v in range(u + 1, min(u + k, n - 1) + 1)))
+    vs = tuple(range(n))
+    return Graph(n, tuple(vs[max(u - k, 0) : u] + vs[u + 1 : u + k + 1] for u in vs))
 
 
 def cycle_power(n: int, k: int) -> Graph:
@@ -335,11 +350,30 @@ def _parse_lines(text: str) -> Graph:
     return _build(n, edges)
 
 
+def format_edge_rows(header: str, n: int, rows: Iterable[tuple[int, Iterable[int]]]) -> str:
+    """``header``, then one "u v" line for every v of every row (u, vs), in
+    the order given, each line ended by "\\n".
+
+    Every u and v must be a vertex 0..n-1.  The vertex names are written
+    once per call, and a row becomes one string: u's name and a space,
+    joined by a newline to the same prefix, between the names of its v's.
+    So the cost is one join per row, not one format per edge.  A row
+    without v's writes nothing.
+    """
+    names = list(map(str, range(n)))
+    blocks = [header]
+    for u, vs in rows:
+        head = names[u] + " "
+        block = ("\n" + head).join(map(names.__getitem__, vs))
+        if block:
+            blocks.append(head + block)
+    blocks.append("")
+    return "\n".join(blocks)
+
+
 def serialize_graph(g: Graph) -> str:
     """Header, then every edge once in lexicographic order, which is the
-    order of the sorted neighbour tuples read from each lower end."""
-    out = [f"{g.n} {g.edge_count}"]
-    for u, nbrs in enumerate(g.adjacency):
-        head = f"{u} "
-        out.extend(map(head.__add__, map(str, islice(nbrs, bisect_right(nbrs, u), None))))
-    return "\n".join(out) + "\n"
+    order of the sorted neighbour tuples read from each lower end: row u is
+    the part of u's tuple above u."""
+    rows = ((u, nbrs[bisect_right(nbrs, u) :]) for u, nbrs in enumerate(g.adjacency))
+    return format_edge_rows(f"{g.n} {g.edge_count}", g.n, rows)

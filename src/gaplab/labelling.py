@@ -191,5 +191,16 @@ def parse_labelling(text: str) -> Labelling:
 
 
 def serialize_labelling(values) -> str:
-    """Write one "vertex value" line per vertex; works for colourings too."""
-    return "".join(f"{v} {_str(val)}\n" for v, val in enumerate(values))
+    """Write one "vertex value" line per vertex; works for colourings too.
+
+    A value is converted to decimal only when it differs from the value
+    before it, so a run of equal values, such as the shared powers of two
+    of ``strength.construct_upper``, costs one conversion.
+    """
+    lines = []
+    last = text = None
+    for v, value in enumerate(values):
+        if value != last:
+            last, text = value, _str(value)
+        lines.append(f"{v} {text}\n")
+    return "".join(lines)

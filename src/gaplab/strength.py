@@ -27,11 +27,12 @@ with an integer fifth root and only then written as a Decimal.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, groupby, repeat
 from math import isqrt
+from operator import itemgetter
 
 from .errors import UnsupportedInputError
-from .graph import Edge, complete_graph, remove_edges
+from .graph import Edge, complete_graph, format_edge_rows, remove_edges
 from .labelling import is_gap_labelling
 
 
@@ -230,27 +231,35 @@ def construct_upper(n: int) -> UpperBoundConstruction:
     """Label K_n minus the removals of ``removal_schedule(n)``.
 
     Vertex 0 plays v_max and keeps 2^(n-1).  Round j's low vertex, detached
-    from the tail, takes 2^(j-1) and its independent set 2^(n-2); the final
-    tail of one or two vertices takes the next one or two powers of two.
-    The removed edges are exactly the tail edges of each low vertex plus the
-    inner edges of each independent set.
+    from the tail, takes 2^(j-1) and its independent set 2^(n-2), one int
+    shared by every such label; the final tail of one or two vertices takes
+    the next one or two powers of two.  The removed edges are exactly the
+    tail edges of each low vertex plus the inner edges of each independent
+    set.
+
+    The rounds list them in lexicographic order, so they need no sort.
+    Round j's edges have u in [low_j, low_j + i_j]: first its tail edges
+    (low_j, v) with v rising, then ``combinations`` of the independent set
+    low_j + 1 .. low_j + i_j, which are in lexicographic order and have
+    u > low_j.  Round j + 1 starts at low_j + i_j + 1, above every u of
+    round j.
     """
     plan = removal_schedule(n)
     labels = [0] * n
     labels[0] = 1 << (n - 1)
+    shared = 1 << (n - 2)
     removed: list[Edge] = []
     for j, (order, i, _) in enumerate(plan.steps):
         low = n + 1 - order
         independent = range(low + 1, low + 1 + i)
         tail = range(low + 1 + i, n)
         labels[low] = 1 << j
-        for v in independent:
-            labels[v] = 1 << (n - 2)
-        removed.extend((low, v) for v in tail)
+        labels[low + 1 : low + 1 + i] = repeat(shared, i)
+        removed.extend(zip(repeat(low), tail))
         removed.extend(combinations(independent, 2))
     for j, v in enumerate(tail, start=len(plan.steps)):  # the last round's tail
         labels[v] = 1 << j
-    return UpperBoundConstruction(tuple(sorted(removed)), tuple(labels), plan)
+    return UpperBoundConstruction(tuple(removed), tuple(labels), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +305,14 @@ def emit_tables(n_max: int) -> str:
 
 
 def removed_edge_ledger(n: int, removed: tuple[Edge, ...]) -> str:
-    """The removal set in edge-list form, flagged by a comment header."""
-    lines = [f"# removed from K_{n}", f"{n} {len(removed)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(removed))
-    return "\n".join(lines) + "\n"
+    """The removal set in edge-list form, flagged by a comment header.
+
+    The edges, pairs of vertices of K_n, are written sorted, one row of
+    ``format_edge_rows`` per first vertex.
+    """
+    rows = groupby(sorted(removed), itemgetter(0))
+    return format_edge_rows(
+        f"# removed from K_{n}\n{n} {len(removed)}",
+        n,
+        ((u, map(itemgetter(1), edges)) for u, edges in rows),
+    )

@@ -64,6 +64,17 @@ def test_path_power_argument_errors():
         path_power(1, 1)
 
 
+def test_sliced_builders_equal_their_defining_pair_filters():
+    # The rows are slices of one tuple(range(n)); the oracle builds each
+    # graph from its definition through the validating constructor.
+    for n in range(1, 41):
+        pairs = list(combinations(range(n), 2))
+        assert complete_graph(n) == graph_from_edges(n, pairs), n
+        for k in range(1, n):
+            expected = graph_from_edges(n, [(u, v) for u, v in pairs if v - u <= k])
+            assert path_power(n, k) == expected, (n, k)
+
+
 def test_cycle_power_edges():
     assert cycle_power(5, 2) == complete_graph(5)
     assert cycle_power(6, 1).edge_count == 6
@@ -276,6 +287,11 @@ def test_serialize_graph_equals_sorted_edge_formatting_for_every_family():
     graphs += [cycle_power(n, k) for n in range(3, 14) for k in range(1, n)]
     graphs += [remove_edges(complete_graph(7), [(0, 6), (2, 3), (1, 5)])]
     graphs += [graph_from_edges(n, edges) for n, edges in _seeded_edge_lists(100, 5)]
+    # High-numbered rows without upper neighbours, down to a lone edge at
+    # the top, and rows of every length in one graph.
+    graphs += [graph_from_edges(n, [(v, n - 1) for v in range(n - 1)]) for n in range(2, 12)]
+    graphs += [graph_from_edges(9, [(7, 8)]), graph_from_edges(9, [])]
+    graphs += [remove_edges(complete_graph(300), construct_upper(300).removed)]
     for g in graphs:
         assert serialize_graph(g) == _old_serialize(g), g
 

@@ -6,10 +6,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from gaplab import labelling as labelling_module
 from gaplab import (
     ParseError,
     UnsupportedInputError,
     complete_graph,
+    construct_upper,
     graph_from_edges,
     induced_colouring,
     is_gap_labelling,
@@ -181,6 +183,51 @@ def test_parse_labelling_errors(text):
 def test_serialize_round_trip():
     labels = (2, 1, 4, 1 << 80)
     assert parse_labelling(serialize_labelling(labels)) == labels
+
+
+def _runs(values):
+    return sum(1 for i, x in enumerate(values) if i == 0 or x != values[i - 1])
+
+
+def test_serialize_labelling_converts_once_per_run_and_equals_the_per_value_oracle(monkeypatch):
+    big = 2**14299  # 4,305 digits, past the default int <-> str digit limit
+    cases = [
+        (),
+        (5,),
+        (7, 7, 7, 7),
+        (1, 1, 2, 2, 2, 1, 1, 1 << 90, 1 << 90, 3),
+        (4, 4, 9, 4, 4, 9, 9, 4),  # equal and unequal neighbours alternating
+        (0, 0, 3, 0, 3, 3, 0),  # a colouring, with colour 0
+        (1, big, big, big, 2, big, big),
+        construct_upper(300).labelling,
+    ]
+    oracle = labelling_module._str
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return oracle(value)
+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        if limit is not None:
+            with pytest.raises(ValueError):
+                str(big)  # so the reused string comes from Decimal
+        for values in cases:
+            expected = "".join(f"{v} {oracle(x)}\n" for v, x in enumerate(values))
+            monkeypatch.setattr(labelling_module, "_str", counted)
+            calls.clear()
+            text = serialize_labelling(values)
+            monkeypatch.undo()
+            assert text == expected, values[:10]
+            assert len(calls) == _runs(values), values[:10]
+            if values:
+                assert parse_labelling(text) == values
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_verify_by_colour_class_equals_a_scan_of_every_edge():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 from itertools import combinations
@@ -415,6 +416,14 @@ def test_construction_matches_two_loop_oracle():
         assert tuple(sorted(from_rounds)) == removed, n
 
 
+def test_construction_lists_its_removals_in_increasing_order_past_the_oracle():
+    # construct_upper does not sort: the rounds emit the edges in order.
+    for n in (2000, 3000):
+        removed = construct_upper(n).removed
+        assert len(removed) == removal_schedule(n).total_removed, n
+        assert all(a < b for a, b in zip(removed, removed[1:])), n
+
+
 def test_schedule_sets_partition_the_non_hub_vertices():
     for n in range(4, 201):
         rounds = [round_sets(n, step) for step in removal_schedule(n).steps]
@@ -508,3 +517,22 @@ def test_removed_edge_ledger_is_loadable():
     ledger_graph = parse_graph(text)
     assert ledger_graph.n == 15
     assert ledger_graph.edges == frozenset(built.removed)
+
+
+def _per_edge_ledger(n, removed):
+    """The ledger written one formatted line per edge: the oracle."""
+    lines = "".join(f"{u} {v}\n" for u, v in sorted(removed))
+    return f"# removed from K_{n}\n{n} {len(removed)}\n" + lines
+
+
+def test_removed_edge_ledger_equals_the_per_edge_oracle_in_any_input_order():
+    rng = random.Random(31)
+    cases = [(n, construct_upper(n).removed) for n in (4, 15, 60, 300)]
+    cases += [(n, []) for n in (1, 4, 12)]
+    cases += [(12, [(0, 11)]), (12, [(10, 11)]), (12, list(combinations(range(12), 2)))]
+    for n, removed in cases:
+        shuffled = list(removed)
+        rng.shuffle(shuffled)
+        expected = _per_edge_ledger(n, removed)
+        for order in (removed, sorted(removed), shuffled, tuple(shuffled)):
+            assert removed_edge_ledger(n, order) == expected, (n, len(removed))
