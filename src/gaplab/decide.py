@@ -78,8 +78,9 @@ def _search(
     can neither clash nor cause a clash.  Each placed vertex is known to its
     neighbours by its key, depth + 1 (0 is "none"), which names it as one
     mark would, since depths and marks correspond one to one; ``mine`` is
-    the side of the depth being placed, by its parity, and ``other`` the
-    opposite one.  Only the finished order gets marks: depth d takes the
+    the side of the depth being placed and ``other`` the opposite one, and
+    the two swap on every place and every undo, as the depth's parity does.
+    Only the finished order gets marks: depth d takes the
     (d // 2)-th largest mark if d is even and the (d // 2)-th smallest if d
     is odd, so the vertices in rank order are the bottoms in the order
     placed, then the tops in reverse.
@@ -96,12 +97,24 @@ def _search(
     and skipped, and if not it is placed and no vertex it pins ever clashes.
     "Pinned already" needs no colour either: v is unplaced, so a neighbour
     u of v is pinned exactly when ``first_top[u]`` and ``first_bottom[u]``
-    are both set.  (At depth 0 nothing is pinned, and the bottom v below the
-    top t pins N(t) & N(v), every one keyed by t: the shared-gap argument of
+    are both set, and v is u's last unplaced neighbour exactly when
+    ``left[u]``, its count of unplaced neighbours, is 1.  A leaf's count
+    starts at n + 1, so it never reads 1 and the leaf is never pinned.  (At
+    depth 0 nothing is pinned, and the bottom v below the top t pins
+    N(t) & N(v), every one keyed by t: the shared-gap argument of
     ``shared_gap_certificate``.)
-    Placing touches only the neighbours' state (placed-neighbour count,
+    The test groups the vertices it would pin by key without a dict:
+    ``near_of[key]`` is the union of the neighbour sets of the group so
+    far, and ``stamp[key]`` the number (``tried``) of the node that last
+    wrote it, so a slot from an earlier node reads as empty and nothing is
+    reset.  The first pin of a key stores its own neighbour set, shared with
+    the graph's and so never updated in place; a second pin forms a new
+    union.  A vertex clashes with its group exactly when it lies in that
+    union.
+    Placing touches only the neighbours' state (unplaced-neighbour count,
     first top key, first bottom key), so a node costs O(deg) to enter and
-    to undo, and its test one set test per vertex it would pin.
+    to undo, and its test one set lookup per vertex it would pin; it
+    allocates only when a key gets a second pin.
 
     The unplaced vertices form a doubly linked list in ascending order, with
     head n (Knuth's dancing links): a placed vertex is unlinked and keeps
@@ -133,67 +146,70 @@ def _search(
     """
     n, adj = g.n, g.adjacency
     nbrs = list(map(set, adj))
-    # 0 for a leaf, which is never pinned: placed_nbrs + 1 never reaches 0.
-    degree = [d if d > 1 else 0 for d in map(len, adj)]
+    # u's unplaced neighbours.  A leaf starts at n + 1, so it never reads 1
+    # and is never pinned.
+    left = [d if d > 1 else n + 1 for d in map(len, adj)]
     # No search enters sys.maxsize nodes, so no budget means no limit.
     limit = sys.maxsize if budget is None else budget
-    placed_nbrs = [0] * n
     first_top = [0] * n  # depth + 1 of the first top neighbour; 0: none
     first_bottom = [0] * n  # depth + 1 of the first bottom neighbour; 0: none
-    # (mine, other) by the parity of the depth: tops even, bottoms odd.
-    sides = ((first_top, first_bottom), (first_bottom, first_top))
+    # The sides of the depth being placed and the opposite one: tops at even
+    # depths, bottoms at odd ones.
+    mine, other = first_top, first_bottom
+    # The key groups of the node being tested: near_of[key] is valid only
+    # while stamp[key] holds the node's number.
+    near_of: list[set[int] | None] = [None] * (n + 1)
+    stamp = [0] * (n + 1)
     # The unplaced vertices, ascending: a circular doubly linked list, head n.
     nxt = list(range(1, n + 1)) + [0]
     prv = [n] + list(range(n))
     path: list[int] = []  # vertex placed at each depth
+    depth = 0  # len(path)
     roots = iter(firsts)
     v = next(roots, n)  # the next candidate at the current depth; n: none left
     tried = 0
 
     while True:
         if v == n:
-            if not path:
+            if not depth:
                 return None, tried
             done = path.pop()
-            depth = len(path)
-            key = depth + 1  # done's key in its neighbours' state
+            mine, other = other, mine
+            # done's key in its neighbours' state is depth, before the decrement.
             nxt[prv[done]] = done
             prv[nxt[done]] = done
-            mine = sides[depth & 1][0]
             for u in adj[done]:
-                placed_nbrs[u] -= 1
-                if mine[u] == key:
+                left[u] += 1
+                if mine[u] == depth:
                     mine[u] = 0
-            v = nxt[done] if path else next(roots, n)
+            depth -= 1
+            v = nxt[done] if depth else next(roots, n)
             continue
 
         tried += 1
         if tried > limit:
             raise SearchBudgetExceeded(tried, budget)
-        depth = len(path)
-        mine, other = sides[depth & 1]
-        keyed: dict[int, list[int]] = {}  # the vertices v pins, by key
         for u in adj[v]:
             key = other[u]
             if key:
                 if mine[u]:
                     continue  # pinned already
-            elif placed_nbrs[u] + 1 == degree[u]:
+            elif left[u] == 1:
                 key = mine[u]
             else:
                 continue
-            same = keyed.get(key)
-            if same is None:
-                keyed[key] = [u]
-            elif nbrs[u].isdisjoint(same):
-                same.append(u)
-            else:
+            if stamp[key] != tried:
+                stamp[key] = tried
+                near_of[key] = nbrs[u]  # shared, so never updated in place
+            elif u in near_of[key]:
                 v = nxt[v]  # a clash: skipped, not placed
                 break
+            else:
+                near_of[key] = near_of[key] | nbrs[u]
         else:
             path.append(v)
-            key = depth + 1  # v's key in its neighbours' state
-            if key == n:
+            depth += 1  # v's key in its neighbours' state
+            if depth == n:
                 # Rank order: the bottoms rising, then the tops rising.
                 label = [0] * n
                 for m, u in zip(decision_marks(n), path[1::2] + path[::2][::-1]):
@@ -202,11 +218,12 @@ def _search(
             nxt[prv[v]] = nxt[v]
             prv[nxt[v]] = prv[v]
             for u in adj[v]:
-                placed_nbrs[u] += 1
+                left[u] -= 1
                 if not mine[u]:
-                    mine[u] = key
+                    mine[u] = depth
+            mine, other = other, mine
             # Reversal break: below the top v, only bottoms above it.
-            v = nxt[v] if key == 1 else nxt[n]
+            v = nxt[v] if depth == 1 else nxt[n]
 
 
 def _require_searchable(g: Graph) -> None:

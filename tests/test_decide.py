@@ -583,9 +583,18 @@ def test_search_matches_the_reference_walk_at_corpus_sizes():
     graphs += leafy_graphs(rng, [n for n in range(12, 21) for _ in range(3)])
     assert sum(min(map(len, g.adjacency)) == 1 for g in graphs) >= 100
     graphs += [random_connected(rng, n, 0.8) for n, _ in product(range(12, 21), range(4))]
-    for g in graphs:
+    runs = [(g, (3000, 40)) for g in graphs]
+    # Clash-heavy frames: at depth >= 5 most candidates are refuted and key
+    # groups get second members.  The outlier (27,418 nodes) runs to the end
+    # and is cut halfway; the G(n, p) graphs at n = 22..26 run to 5,000 nodes.
+    runs.append((outlier_graph(), (30_000, 27_418 // 2)))
+    runs += [
+        (random_connected(rng, n, p), (5000, 40))
+        for n, p, _ in product(range(22, 27), (0.4, 0.5), range(2))
+    ]
+    for g, budgets in runs:
         firsts = orbit_representatives(g)
-        for budget in (3000, 40):
+        for budget in budgets:
             try:
                 expected = reference_search(g, firsts, budget)
             except SearchBudgetExceeded as exc:
