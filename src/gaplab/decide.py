@@ -22,21 +22,22 @@ unplaced vertex, and the (d // 2)-th smallest if d is odd, a "bottom",
 below all of them.  By the clash rule validity depends on the order alone,
 so the search keys its state by depth and puts the marks on the finished
 order once.  A vertex's highest-ranked neighbour is then its first top
-neighbour and its lowest its first bottom neighbour, so a vertex of degree
->= 2 is pinned, for good, once it has one of each (or once all its
-neighbours are placed), and by the clash rule a leaf need never be pinned.
-Every vertex pinned when a vertex v is placed has v in its extreme pair,
-and no vertex pinned earlier has, so a node clashes exactly when two
-adjacent vertices it would pin share the other end of their pair.  The
-search tests that before placing v and skips the node if it fails, so a
-placed vertex never clashes, no colour is stored, and entering or undoing
-a node costs O(degree).  The search is one walk with an explicit stack, so
-its depth is not bounded by the interpreter's recursion limit; the stack's
-root frame tries one vertex per twin class (vertices with equal open or
-equal closed neighbourhoods, which an automorphism swaps) as the top, and
-the frame below it only bottoms numbered above the top.  That second cut
-is exact because, by the clash rule, reversing a valid vertex order keeps
-it valid: the reversal only swaps the two ends of every extreme pair.
+neighbour and its lowest its first bottom neighbour, so a vertex is
+pinned, for good, once it has one of each (or once all its neighbours are
+placed).  A leaf is pinned with its one neighbour and by the clash rule
+never clashes.  Every vertex of degree >= 2 pinned when a vertex v is
+placed has v in its extreme pair, and no vertex pinned earlier has, so a
+node clashes exactly when two adjacent vertices of degree >= 2 it would pin
+share the other end of their pair.  The search tests that before placing
+v and skips the node if it fails, so a placed vertex never clashes, no
+colour is stored, and entering or undoing a node costs O(degree).  The
+search is one walk with an explicit stack, so its depth is not bounded by
+the interpreter's recursion limit; the stack's root frame tries one vertex
+per twin class (vertices with equal open or equal closed neighbourhoods,
+which an automorphism swaps) as the top, and the frame below it only
+bottoms numbered above the top.  That second cut is exact because, by the
+clash rule, reversing a valid vertex order keeps it valid: the reversal
+only swaps the two ends of every extreme pair.
 
 ``shared_gap_certificate`` returns the paper's refutation of complete graphs
 and path and cycle powers, which is the search's node test at depth 1, as
@@ -71,38 +72,42 @@ def _search(
     depths bottoms, ranked below all of them.  Tops are placed in falling
     rank and bottoms in rising rank, so a vertex's first top neighbour is
     its highest-ranked neighbour and its first bottom neighbour its lowest,
-    whatever is placed later.  So a vertex of degree >= 2 has its colour
-    fixed, or pinned, for good as soon as it has both a top and a bottom
-    neighbour, or all its neighbours are placed: its extreme pair is then
-    known.  A leaf is never pinned: by the clash rule (module docstring) it
-    can neither clash nor cause a clash.  Each placed vertex is known to its
-    neighbours by its key, depth + 1 (0 is "none"), which names it as one
-    mark would, since depths and marks correspond one to one; ``mine`` is
-    the side of the depth being placed and ``other`` the opposite one, and
-    the two swap on every place and every undo, as the depth's parity does.
-    Only the finished order gets marks: depth d takes the
-    (d // 2)-th largest mark if d is even and the (d // 2)-th smallest if d
-    is odd, so the vertices in rank order are the bottoms in the order
-    placed, then the tops in reverse.
+    whatever is placed later.  So a vertex has its colour fixed, or pinned,
+    for good as soon as it has both a top and a bottom neighbour, or all its
+    neighbours are placed: its extreme pair, or a leaf's one neighbour, is
+    then known.  Each placed vertex is known to its neighbours by its key,
+    depth + 1 (0 is "none"), which names it as one mark would, since depths
+    and marks correspond one to one; ``mine`` is the side of the depth being
+    placed and ``other`` the opposite one, and the two swap on every place
+    and every undo, as the depth's parity does.  Only the finished order
+    gets marks: depth d takes the (d // 2)-th largest mark if d is even and
+    the (d // 2)-th smallest if d is odd, so the vertices in rank order are
+    the bottoms in the order placed, then the tops in reverse.
 
     The node lemma.  Placing v pins two kinds of neighbour u of v: those
     that get their second side now, and those whose last unplaced neighbour
-    is v.  Each one's extreme pair is v and one placed vertex w, and u is
-    keyed by w's key: w is u's first neighbour on the other side in the
-    first case, its first on v's side in the second.  A vertex pinned
-    earlier has an extreme pair of placed vertices, without v, and distinct
-    pairs give distinct colours (the marks are a Golomb ruler), so a clash
-    at this node is two adjacent vertices pinned here with one key.  The
-    node is tested for that before v is placed; if it clashes it is counted
-    and skipped, and if not it is placed and no vertex it pins ever clashes.
-    "Pinned already" needs no colour either: v is unplaced, so a neighbour
-    u of v is pinned exactly when ``first_top[u]`` and ``first_bottom[u]``
-    are both set, and v is u's last unplaced neighbour exactly when
-    ``left[u]``, its count of unplaced neighbours, is 1.  A leaf's count
-    starts at n + 1, so it never reads 1 and the leaf is never pinned.  (At
-    depth 0 nothing is pinned, and the bottom v below the top t pins
-    N(t) & N(v), every one keyed by t: the shared-gap argument of
-    ``shared_gap_certificate``.)
+    is v.  If u has degree >= 2, its extreme pair is v and one placed vertex
+    w, and u is keyed by w's key: w is u's first neighbour on the other side
+    in the first case, its first on v's side in the second.  A vertex of
+    degree >= 2 pinned earlier has an extreme pair of placed vertices,
+    without v, distinct pairs give distinct colours (the marks are a Golomb
+    ruler), and by the clash rule a leaf never clashes, so a clash at this
+    node is two adjacent vertices of degree >= 2 pinned here with one key.
+    The node is tested for that before v is placed; if it clashes it is
+    counted and skipped, and if not it is placed and no vertex it pins ever
+    clashes.  "Pinned already" needs no colour either: v is unplaced, so a
+    neighbour u of v is pinned exactly when ``first_top[u]`` and
+    ``first_bottom[u]`` are both set, and v is u's last unplaced neighbour
+    exactly when ``left[u]``, its count of unplaced neighbours, is 1.
+    Leaves need no case of their own.  A leaf u of v has no placed
+    neighbour, so it is pinned only through ``left[u] == 1`` with both sides
+    unset, and its key is 0.  Only leaves get key 0, since a vertex of
+    degree >= 2 with one unplaced neighbour has a placed one.  So key 0
+    groups only leaves whose one neighbour is v, and no two of them are
+    adjacent: in K_2 the other end is v itself.  A key-0 group never
+    clashes.  (At depth 0 only the top t's leaves are pinned, and the bottom
+    v below t pins its own leaves and N(t) & N(v), the latter all keyed by
+    t: the shared-gap argument of ``shared_gap_certificate``.)
     The test groups the vertices it would pin by key without a dict:
     ``near_of[key]`` is the union of the neighbour sets of the group so
     far, and ``stamp[key]`` the number (``tried``) of the node that last
@@ -146,9 +151,7 @@ def _search(
     """
     n, adj = g.n, g.adjacency
     nbrs = list(map(set, adj))
-    # u's unplaced neighbours.  A leaf starts at n + 1, so it never reads 1
-    # and is never pinned.
-    left = [d if d > 1 else n + 1 for d in map(len, adj)]
+    left = list(map(len, adj))  # u's unplaced neighbours
     # No search enters sys.maxsize nodes, so no budget means no limit.
     limit = sys.maxsize if budget is None else budget
     first_top = [0] * n  # depth + 1 of the first top neighbour; 0: none
@@ -283,12 +286,14 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
 
     Labels go on vertices 0, 1, ... in order, each trying 1..k, and every
     label tried counts once against the budget.  A vertex's colour is pinned,
-    for good, as soon as the labels already placed decide it:
-    - when its last unlabelled neighbour is labelled: the colour is that
-      label for a leaf, and hi - lo otherwise;
-    - when it has degree >= 2 and its labelled neighbours hold both 1 and k.
-      Every label lies in 1..k, so its largest neighbour label is then k and
-      its smallest 1, and its colour is k - 1 whatever the others get.
+    for good, as soon as the labels already placed decide it: when its last
+    unlabelled neighbour is labelled, or when its labelled neighbours hold
+    both 1 and k.  Every label lies in 1..k, so in the second case its
+    largest neighbour label is k and its smallest 1 whatever the others
+    get.  Either way the colour is hi - lo, the spread of its labelled
+    neighbours' labels, and k - 1 in the second case.  A leaf needs no rule
+    of its own: its one neighbour is its last, and its ``lo`` is held at 0,
+    so hi - lo is that neighbour's label, the leaf's colour.
     A vertex pinned at an attempt is tested against its pinned neighbours,
     those pinned earlier at the same attempt included.  A pinned colour
     never changes, so a clash found on a partial labelling stays in every
@@ -322,16 +327,17 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
         raise ValueError(f"k_max must be positive, got {k_max}")
     n = g.n
     adj = g.adjacency
-    leaf = [len(a) == 1 for a in adj]
     last = list(map(max, adj))  # highest-numbered neighbour
     # Reflection break: with no leaf, vertex 0 starts at k // 2.
-    reflect = not any(leaf)
+    reflect = min(map(len, adj)) > 1
     # No search tries sys.maxsize labels, so no budget means no limit.
     limit = sys.maxsize if budget is None else budget
     tried = 0
     for k in range(1, k_max + 1):
         hi = [0] * n  # largest label among labelled neighbours; 0: none
-        lo = [k + 1] * n  # smallest; k + 1: none
+        # The smallest; k + 1: none.  A leaf's stays at 0, so its colour,
+        # hi - lo, is its one neighbour's label.
+        lo = [0 if len(a) == 1 else k + 1 for a in adj]
         colour = [-1] * n  # -1: not pinned
         colour_of = colour.__getitem__
         # undo[v], written when the walk advances past v: the vertices v
@@ -362,18 +368,14 @@ def vertex_gap_number(g: Graph, k_max: int, *, budget: int | None = None) -> int
                 raise SearchBudgetExceeded(tried, budget)
             pins = []
             for w in adj[v]:
-                if colour[w] < 0:
-                    if last[w] == v:
-                        if leaf[w]:
-                            c = x
-                        else:
-                            high = hi[w]
-                            low = lo[w]
-                            c = (high if high > x else x) - (low if low < x else x)
-                    elif (x == k or hi[w] == k) and (x == 1 or lo[w] == 1):
-                        c = k - 1  # last[w] > v, so w is no leaf
-                    else:
-                        continue
+                # Pinned now: v is w's last neighbour, or w's labelled
+                # neighbours hold 1 and k.
+                if colour[w] < 0 and (
+                    last[w] == v or (x == k or hi[w] == k) and (x == 1 or lo[w] == 1)
+                ):
+                    high = hi[w]
+                    low = lo[w]
+                    c = (high if high > x else x) - (low if low < x else x)
                     if c in map(colour_of, adj[w]):
                         for u in pins:
                             colour[u] = -1

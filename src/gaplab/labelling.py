@@ -160,9 +160,9 @@ def _str(value: int) -> str:
 def parse_labelling(text: str) -> Labelling:
     """Read either the "vertex label" line format or a single comma list."""
     data_lines = [
-        (idx, line.strip())
-        for idx, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
+        (idx, line)
+        for idx, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith("#")
     ]
     if not data_lines:
         raise ParseError("empty labelling text", 1)

@@ -145,15 +145,17 @@ def _iroot5(m: int) -> int:
         x = y
 
 
-def power_law_column(n_max: int) -> tuple[Decimal, ...]:
-    """(3/100) * n**1.2 for n = 0..n_max, rounded to 4 decimal places.
+def power_law_column(n_max: int) -> tuple:
+    """(3/100) * n**1.2 for n = 0..n_max, as Decimals rounded to 4 places.
 
     10**4 times the value is v = 300 * n**(6/5), the fifth root of
     m = 300**5 * n**6.  With r = floor(v), v rounds up iff v > r + 1/2, that
     is iff (2r + 1)**5 < 32 * m; v = r + 1/2 cannot happen, because the fifth
     power of a rational that is not an integer is not an integer.  The
     arithmetic is on integers, and each Decimal is read from the exact string
-    "<r>E-4", so no decimal context is read or changed.
+    "<r>E-4", so no decimal context is read or changed.  ``decimal`` is
+    imported here, on first use, so the return annotation cannot name
+    Decimal.
     """
     from decimal import Decimal
 

@@ -10,8 +10,7 @@ Three rank-based relabellings are provided:
   ruler shifted by 2p**2, capping the largest label at O(n**2).  The shift
   keeps every degree-one colour (a full label, at least 2p**2) above every
   gap colour (a mark difference, at most 2p**2 - p - 1).  These n marks are
-  ``decision_marks(n)``, which the decision search and the exact strength
-  check assign too.
+  ``decision_marks(n)``, which ``decide`` and ``naive_decide`` assign too.
 
 All three require a valid input labelling; the ruler and power-of-two maps
 additionally require distinct labels (apply ``distinctify`` first).

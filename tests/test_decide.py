@@ -54,8 +54,10 @@ def with_pendants(g, hosts):
 def leafy_graphs(rng, sizes):
     """Graphs with leaves: K_2, stars, paths, random trees, G(n, p) plus pendants.
 
-    The search never pins a leaf, while both walk oracles below still do, so
-    these inputs check that leaving leaves unpinned changes no node.
+    The search pins a leaf with its one neighbour, under key 0, which only
+    leaves of that neighbour share; both walk oracles below colour leaves
+    as they colour every vertex, so these inputs check that key 0 never
+    clashes and changes no node.
     """
     yield path_power(2, 1)  # K_2: both ends are leaves
     # Every edge of K_4, and the edge 0-1 of the diamond K_4 - {2, 3}, lies
@@ -879,6 +881,14 @@ def test_reflecting_labels_keeps_every_verdict_without_leaves():
     assert verdicts == {True, False}
 
 
+def unreflectable_leaf_graph():
+    """8 vertices, vertex 5 a leaf on vertex 1; no valid labelling up to 4 reflects."""
+    return graph_from_edges(8, [
+        (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (1, 7),
+        (2, 3), (2, 4), (2, 7), (3, 6), (4, 7),
+    ])
+
+
 def test_reflection_fails_on_graphs_with_a_leaf():
     # P_3 at k = 2: the leaves' colours are the centre's label, so (2, 2, 1)
     # gives colours (2, 1, 2) and its reflection (1, 1, 2) gives (1, 1, 1).
@@ -888,10 +898,7 @@ def test_reflection_fails_on_graphs_with_a_leaf():
     # Vertex 5 is a leaf on vertex 1.  With labels up to 4 only this
     # labelling and one other are valid, both with vertex 0 at 2 and neither
     # with a valid reflection, so chi would answer 5 if it reflected here.
-    g = graph_from_edges(8, [
-        (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (1, 7),
-        (2, 3), (2, 4), (2, 7), (3, 6), (4, 7),
-    ])
+    g = unreflectable_leaf_graph()
     valid = (2, 2, 2, 4, 2, 4, 1, 3)
     assert is_gap_labelling(g, valid)[0]
     assert not is_gap_labelling(g, [5 - x for x in valid])[0]
@@ -909,13 +916,21 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
 def test_least_label_count_attempts_are_pinned():
     # the least budget that does not run out is the number of labels tried;
     # K_3, K_4 and C_8^2 have no leaf, so vertex 0 tries only k // 2 + 1..k.
-    # Without early pins (``completes_walk``) the counts are 42, 28, 1,514
-    # and 12,991.
+    # The last four rows have leaves, each pinned with its one neighbour:
+    # P_1200, the graph of the reflection test, the star K_{1,4} and a
+    # caterpillar (a tree whose non-leaves form a path).
+    # Without early pins (``completes_walk``) the counts are 42, 28, 1,514,
+    # 12,991, 6,894, 29,664, 5 and 44.
+    caterpillar = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (3, 6)])
     for g, k_max, attempts, least in (
         (complete_graph(3), 5, 40, 4),
         (path_power(6, 1), 3, 26, 2),
         (complete_graph(4), 6, 1273, None),
         (cycle_power(8, 2), 8, 5890, 5),
+        (path_power(1200, 1), 3, 6892, 2),
+        (unreflectable_leaf_graph(), 5, 9608, 4),
+        (star(4), 3, 5, 1),
+        (caterpillar, 4, 24, 2),
     ):
         assert vertex_gap_number(g, k_max, budget=attempts) == least
         with pytest.raises(SearchBudgetExceeded):

@@ -3,13 +3,18 @@
 Every record is a ``collections.namedtuple``, so importing gaplab loads no
 ``dataclasses`` (and through it ``inspect``), no ``typing`` and, until the
 omega column is rendered, no ``decimal``; building the CLI parser loads no
-``shutil``.
+``shutil``.  So no annotation may name what only a function body imports:
+every function's type hints resolve.
 """
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from decimal import Decimal
 
 import pytest
@@ -17,7 +22,7 @@ import pytest
 import gaplab
 from gaplab import FamilySpec, complete_graph, cycle_power, decide
 from gaplab.families import COMPLETE
-from gaplab.strength import RemovalPlan, construct_upper
+from gaplab.strength import RemovalPlan, construct_upper, power_law_column
 
 # Loads the standard-library modules gaplab itself imports first, so that the
 # check below sees only what gaplab adds, on any Python version.
@@ -49,6 +54,24 @@ def test_fresh_interpreter_loads_no_dataclasses_typing_or_decimal():
     assert not report["shutil"]
     # decimal loads on first use, in the same process.
     assert Decimal(report["omega_5"]) == Decimal("0.2070")
+
+
+def test_every_annotation_resolves():
+    # A name that only a function body imports (decimal's Decimal, say) must
+    # not appear in an annotation, or get_type_hints raises NameError.
+    functions = []
+    for info in pkgutil.iter_modules(gaplab.__path__):
+        module = importlib.import_module(f"gaplab.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                functions += filter(inspect.isfunction, vars(obj).values())
+            elif inspect.isfunction(obj):
+                functions.append(obj)
+    assert power_law_column in functions
+    for f in functions:
+        typing.get_type_hints(f)
 
 
 def records():
