@@ -22,9 +22,13 @@ whole lines, about 64 KB each, so a multi-megabyte edge list needs about one
 block of transient memory beside the graph and a bytes copy of the text.
 Each block is checked for two digit runs per line, endpoints in range and
 lexicographic edge order; the order makes every neighbour list come out
-sorted, lower neighbours first, without a sort.  Any other text, such as
-comments, empty lines or CRLF line ends, goes through a line-by-line
-reader that accepts the same graphs and names the first bad line.
+sorted, lower neighbours first, without a sort.  A block of long rows, such
+as K_n's, is read row by row: each row u is split once on its "u " prefix,
+so only its v's become tokens.  A block of short rows, such as a path
+power's, is read edge by edge, since a row costs more than it saves there.
+Any other text, such as comments, empty lines or CRLF line ends, goes
+through a line-by-line reader that accepts the same graphs and names the
+first bad line.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque, namedtuple
 from collections.abc import Iterable
-from itertools import islice, repeat
+from itertools import repeat
 from operator import lt
 
 from .errors import MissingEdgeError, ParseError
@@ -187,10 +191,10 @@ def is_connected(g: Graph) -> bool:
 _DIGITS = b"0123456789"
 # About how many bytes of edge lines _parse_whole reads at a time.
 _BLOCK = 1 << 16
-# The edges per row at which extending each row by a slice of the block's v's
-# beats one append per edge: near 6 to 10 on path powers P_n^k and near 6 on
-# random graphs G(n, p) of 20 to 1,000 vertices (CPython 3.11).
-_LONG_ROW = 8
+# The edges per row at which reading a block row by row (_read_rows) beats
+# reading it edge by edge (_read_edges): near 16 on path powers P_n^k and near
+# 20 on random graphs G(n, p) of 60 to 1,000 vertices (CPython 3.11).
+_LONG_ROW = 20
 
 
 def parse_graph(text: str) -> Graph:
@@ -214,25 +218,28 @@ def _parse_whole(text: str) -> Graph | None:
     with no comments and no empty lines.  The layout and the header are
     checked on the whole text.  The edge lines are then read in blocks of
     whole lines, about ``_BLOCK`` bytes each, so transient memory is about
-    one block beside the graph and a bytes copy of the text.  Each block
-    checks:
+    one block beside the graph and a bytes copy of the text.  A block is
+    sliced with the "\\n" before its first line and without its last, so
+    every line, the first one too, starts with "\\n".
 
-    - two tokens per line: the layout alone passes an empty digit run, as in
-      "2 1\\n 1\\n";
+    Each block is read by one of two readers, chosen from its line count and
+    the u's of its first and last lines: ``_read_rows`` when it holds at
+    least ``_LONG_ROW`` lines per row, ``_read_edges`` otherwise.  A long
+    row has at most n - 1 edges, so when n <= ``_LONG_ROW`` every block is
+    read edge by edge without that choice.  Both readers check:
+
     - range, by looking every endpoint up among the names of the vertices
-      0..n-1, which also refuses leading zeros and shares one int per vertex;
+      0..n-1, which also refuses leading zeros and empty digit runs, and
+      shares one int per vertex;
     - lexicographic order, which rules out u >= v and duplicates: the
       block's first edge follows the previous block's last, and within the
       block the u's never fall and each row's v's rise from above its u.
 
     Every v then gets its lower neighbours u appended, and every u its upper
-    neighbours v: one append each in blocks of short rows, one slice per row
-    in blocks of at least ``_LONG_ROW`` edges per row, where the per-row
-    cost of slicing is paid back.  In lexicographic order a vertex's lower
-    neighbours all come in rows before its own, so its list gets them,
-    rising, before its rising upper neighbours, and needs no sort.  None
-    means "not proved valid": the caller then runs the line loop, which
-    accepts or reports.
+    neighbours v.  In lexicographic order a vertex's lower neighbours all
+    come in rows before its own, so its list gets them, rising, before its
+    rising upper neighbours, and needs no sort.  None means "not proved
+    valid": the caller then runs the line loop, which accepts or reports.
     """
     if not text.isascii():
         return None
@@ -256,46 +263,93 @@ def _parse_whole(text: str) -> Graph | None:
     last = (-1, -1)
     while end < len(body):
         start, end = end, body.find(b"\n", end + _BLOCK) + 1 or len(body)
-        block = body[start:end]
-        tokens = block.split()
-        if len(tokens) != 2 * block.count(b" "):
-            return None
-        try:
-            ends = list(map(names.__getitem__, tokens))
-        except KeyError:  # out of range, or written with leading zeros
-            return None
-        del tokens
-        us, vs = ends[0::2], ends[1::2]
-        first, top = us[0], us[-1]
-        if (first, vs[0]) <= last:
-            return None
-        last = (top, vs[-1])
-        # any() only drains each map, as append and extend return None.
-        any(map(list.append, map(nbrs.__getitem__, vs), us))
-        rows = range(first, top + 1)
-        if len(vs) < _LONG_ROW * len(rows):
-            # Each edge against the next; zip reuses its tuple.
-            if not all(map(lt, us, vs)) or not all(
-                map(lt, zip(us, vs), zip(us[1:], vs[1:]))
-            ):
+        block = body[start - 1 : end - 1]
+        lines = block.count(b"\n")
+        long_rows = False
+        if n > _LONG_ROW:
+            tail = block.rfind(b"\n")
+            try:
+                first = names[block[1 : block.find(b" ")]]
+                top = names[block[tail + 1 : block.find(b" ", tail)]]
+            except KeyError:  # out of range, or written with leading zeros
                 return None
-            any(map(list.append, map(nbrs.__getitem__, us), vs))
-            continue
-        # With the u's sorted, each v must top the entry before it in its
-        # row, or u at the row's start.  A row without edges shares its cut
-        # with the next row, which overwrites it.
-        if us != sorted(us):
+            long_rows = lines >= _LONG_ROW * (top - first + 1)
+        if long_rows:
+            last = _read_rows(block, names, nbrs, last)
+        else:
+            last = _read_edges(block, lines, names, nbrs, last)
+        if last is None:
             return None
-        cuts = list(map(bisect_left, repeat(us), rows))
-        below = vs[:-1]
-        below.insert(0, first)
-        any(map(below.__setitem__, cuts, rows))
-        if not all(map(lt, below, vs)):
-            return None
-        cuts.append(len(vs))
-        uppers = map(vs.__getitem__, map(slice, cuts, islice(cuts, 1, None)))
-        any(map(list.extend, map(nbrs.__getitem__, rows), uppers))
     return Graph(n, tuple(map(tuple, nbrs)))
+
+
+def _read_edges(
+    block: bytes, lines: int, names: dict[bytes, int], nbrs: list[list[int]], last: Edge
+) -> Edge | None:
+    """Add a block's edges to ``nbrs`` one append per endpoint, and return
+    its last edge, or None if the block breaks the checks of
+    ``_parse_whole``.  ``last`` is the edge before the block.
+
+    Every line becomes two tokens, and each must be a vertex name: the
+    layout alone passes an empty digit run, as in "2 1\\n 1\\n".
+    """
+    tokens = block.split()
+    if len(tokens) != 2 * lines:
+        return None
+    try:
+        ends = list(map(names.__getitem__, tokens))
+    except KeyError:  # out of range, or written with leading zeros
+        return None
+    del tokens
+    us, vs = ends[0::2], ends[1::2]
+    if (us[0], vs[0]) <= last:
+        return None
+    # Each edge against the next; zip reuses its tuple.
+    if not all(map(lt, us, vs)) or not all(map(lt, zip(us, vs), zip(us[1:], vs[1:]))):
+        return None
+    # any() only drains each map, as append returns None.
+    any(map(list.append, map(nbrs.__getitem__, vs), us))
+    any(map(list.append, map(nbrs.__getitem__, us), vs))
+    return us[-1], vs[-1]
+
+
+def _read_rows(
+    block: bytes, names: dict[bytes, int], nbrs: list[list[int]], last: Edge
+) -> Edge | None:
+    """``_read_edges`` for a block of long rows: each row u is split once on
+    its own "\\nu " prefix, so only its v's become tokens and lookups.
+
+    A row ends at its last line that starts with the prefix.  Probes at
+    doubling distances past the row's start, the first one as many bytes
+    away as the row before took (64 for the block's first row), find a line
+    of another row; the row's last line is then the last prefix before that
+    probe.  So finding a row's end costs about its own length plus the row
+    before's, and the block is read in linear time however its rows are
+    mixed.  Each row is then checked: every part must be a vertex name, so
+    no part holds a "\\n" and every line of the row starts with the prefix;
+    and its v's must rise from above u and from ``last``.
+    """
+    size, start, step = len(block), 0, 64
+    while start < size:
+        space = block.find(b" ", start)
+        prefix = block[start : space + 1]
+        probe = start + step
+        while probe < size and block.startswith(prefix, block.rfind(b"\n", start, probe + 1)):
+            probe += probe - start
+        end = block.find(b"\n", block.rfind(prefix, start, probe) + 1)
+        if end < 0:
+            end = size
+        try:
+            u = names[block[start + 1 : space]]
+            vs = list(map(names.__getitem__, block[space + 1 : end].split(prefix)))
+        except KeyError:  # out of range, leading zeros, or another row's line
+            return None
+        if (u, vs[0]) <= last or not all(map(lt, [u, *vs], vs)):
+            return None
+        nbrs[u].extend(vs)
+        any(map(list.append, map(nbrs.__getitem__, vs), repeat(u)))
+        last, step, start = (u, vs[-1]), end - start, end
+    return last
 
 
 def _parse_lines(text: str) -> Graph:

@@ -909,8 +909,6 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
     g = path_power(1200, 2)
     result = decide(g, budget=4 * g.n)
     assert result.labelable and is_gap_labelling(g, result.witness)[0]
-    # 6,892 labels tried; the budget turns a pruning regression into a failure
-    assert vertex_gap_number(path_power(1200, 1), 3, budget=4 * 1200 * 3) == 2
 
 
 def test_least_label_count_attempts_are_pinned():
@@ -918,7 +916,9 @@ def test_least_label_count_attempts_are_pinned():
     # K_3, K_4 and C_8^2 have no leaf, so vertex 0 tries only k // 2 + 1..k.
     # The last four rows have leaves, each pinned with its one neighbour:
     # P_1200, the graph of the reflection test, the star K_{1,4} and a
-    # caterpillar (a tree whose non-leaves form a path).
+    # caterpillar (a tree whose non-leaves form a path).  P_1200's walk is
+    # 1,200 deep, so its row also shows that chi's depth is not bounded by
+    # the recursion limit.
     # Without early pins (``completes_walk``) the counts are 42, 28, 1,514,
     # 12,991, 6,894, 29,664, 5 and 44.
     caterpillar = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (3, 6)])

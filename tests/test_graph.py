@@ -495,11 +495,16 @@ def _defective_layout_text(rng):
     return "\n".join(lines) + "\n"
 
 
+def _wrong_reader(*args):
+    raise AssertionError("this block reader should not run")
+
+
 def test_block_reader_agrees_with_the_oracle_at_every_cut(monkeypatch):
     # A 1-byte block ends after every line, and blocks of 3 to 23 bytes hold
     # a few lines each, so each defect lands at a cut, next to one and away
     # from one, and rows are split across cuts.
-    # _LONG_ROW 0 reads every block as long rows, 10**9 as short rows.
+    # _LONG_ROW 0 reads every block row by row, 10**9 edge by edge; the
+    # other reader is replaced by one that fails the test if it runs.
     rng = random.Random(2020)
     read = 0
     for case in range(700):
@@ -507,12 +512,14 @@ def test_block_reader_agrees_with_the_oracle_at_every_cut(monkeypatch):
         expected = _parsed(_old_parse_graph, text)
         for block in range(1, 24, 2):
             monkeypatch.setattr(graph_module, "_BLOCK", block)
-            for long_row in (0, 10**9):
-                monkeypatch.setattr(graph_module, "_LONG_ROW", long_row)
-                got = _parsed(lambda t: _fields(parse_graph(t)), text)
-                assert got == expected, (case, block, long_row, text)
-                read += graph_module._parse_whole(text) is not None
-    assert read > 4000  # the block reader itself was exercised
+            for long_row, unused in ((0, "_read_edges"), (10**9, "_read_rows")):
+                with monkeypatch.context() as patch:
+                    patch.setattr(graph_module, "_LONG_ROW", long_row)
+                    patch.setattr(graph_module, unused, _wrong_reader)
+                    got = _parsed(lambda t: _fields(parse_graph(t)), text)
+                    assert got == expected, (case, block, long_row, text)
+                    read += graph_module._parse_whole(text) is not None
+    assert read > 4000  # the block readers themselves were exercised
 
 
 @pytest.mark.parametrize(
@@ -534,7 +541,18 @@ def test_empty_digit_runs_go_to_the_line_loop(monkeypatch, text, block):
 
 def test_block_reader_reads_rows_and_texts_of_many_blocks():
     removed = construct_upper(300).removed
-    for g in [remove_edges(complete_graph(300), removed), path_power(3000, 4), complete_graph(1)]:
+    # Row 0 of the star, about 96 KB, is cut between two blocks of long
+    # rows; K_400 without the edges (200, v), v > 200, has an empty row 200
+    # inside a block of long rows.
+    star = graph_from_edges(12001, [(0, v) for v in range(1, 12001)] + [(1, 12000)])
+    gap = remove_edges(complete_graph(400), [(200, v) for v in range(201, 400)])
+    for g in [
+        remove_edges(complete_graph(300), removed),
+        path_power(3000, 4),
+        complete_graph(1),
+        star,
+        gap,
+    ]:
         text = serialize_graph(g)
         variants = [text.replace("\n", "\r\n"), text.replace("\n", "\n\n")[:-2]]
         _assert_only_the_written_text_is_read_whole(g, text, variants)
