@@ -23,9 +23,12 @@ block of transient memory beside the graph and a bytes copy of the text.
 Each block is checked for two digit runs per line, endpoints in range and
 lexicographic edge order; the order makes every neighbour list come out
 sorted, lower neighbours first, without a sort.  A block of long rows, such
-as K_n's, is read row by row: each row u is split once on its "u " prefix,
-so only its v's become tokens.  A block of short rows, such as a path
-power's, is read edge by edge, since a row costs more than it saves there.
+as K_n's, is read row by row.  A row that is one run of consecutive
+vertices, as every row of K_n and of the paper's upper-bound construction
+is, is matched whole against the joined names of that run, so it makes no
+tokens at all; any other row u is split once on its "u " prefix, so only
+its v's become tokens.  A block of short rows, such as a path power's, is
+read edge by edge, since a row costs more than it saves there.
 Any other text, such as comments, empty lines or CRLF line ends, goes
 through a line-by-line reader that accepts the same graphs and names the
 first bad line.
@@ -228,9 +231,10 @@ def _parse_whole(text: str) -> Graph | None:
     row has at most n - 1 edges, so when n <= ``_LONG_ROW`` every block is
     read edge by edge without that choice.  Both readers check:
 
-    - range, by looking every endpoint up among the names of the vertices
+    - range, by matching every endpoint against the names of the vertices
       0..n-1, which also refuses leading zeros and empty digit runs, and
-      shares one int per vertex;
+      shares one int per vertex: a dict lookup per endpoint, or one
+      comparison for a row that is a run;
     - lexicographic order, which rules out u >= v and duplicates: the
       block's first edge follows the previous block's last, and within the
       block the u's never fall and each row's v's rise from above its u.
@@ -259,6 +263,10 @@ def _parse_whole(text: str) -> Graph | None:
     if n < 1 or m != lines - 1:
         return None
     names = {b"%d" % v: v for v in range(n)}
+    # The same names and ints as lists, for the runs of _read_rows: built
+    # once, for the first block of long rows, so text read edge by edge
+    # never pays for them.
+    lists = None
     nbrs: list[list[int]] = [[] for _ in range(n)]
     last = (-1, -1)
     while end < len(body):
@@ -275,7 +283,8 @@ def _parse_whole(text: str) -> Graph | None:
                 return None
             long_rows = lines >= _LONG_ROW * (top - first + 1)
         if long_rows:
-            last = _read_rows(block, names, nbrs, last)
+            lists = lists or (list(names), list(names.values()))
+            last = _read_rows(block, names, *lists, nbrs, last)
         else:
             last = _read_edges(block, lines, names, nbrs, last)
         if last is None:
@@ -314,22 +323,45 @@ def _read_edges(
 
 
 def _read_rows(
-    block: bytes, names: dict[bytes, int], nbrs: list[list[int]], last: Edge
+    block: bytes,
+    names: dict[bytes, int],
+    vnames: list[bytes],
+    verts: list[int],
+    nbrs: list[list[int]],
+    last: Edge,
 ) -> Edge | None:
-    """``_read_edges`` for a block of long rows: each row u is split once on
-    its own "\\nu " prefix, so only its v's become tokens and lookups.
+    """``_read_edges`` for a block of long rows, one row u at a time.
 
-    A row ends at its last line that starts with the prefix.  Probes at
-    doubling distances past the row's start, the first one as many bytes
+    A row ends at its last line that starts with u's "\\nu " prefix.  Probes
+    at doubling distances past the row's start, the first one as many bytes
     away as the row before took (64 for the block's first row), find a line
     of another row; the row's last line is then the last prefix before that
     probe.  So finding a row's end costs about its own length plus the row
     before's, and the block is read in linear time however its rows are
-    mixed.  Each row is then checked: every part must be a vertex name, so
-    no part holds a "\\n" and every line of the row starts with the prefix;
-    and its v's must rise from above u and from ``last``.
+    mixed.
+
+    A row of c lines whose first v is a is a run when its text after the
+    first prefix equals ``vnames[a : a + c]`` joined by the prefix: one
+    comparison, with no token and no lookup per v.  A test that the row ends
+    with the name of a + c - 1 comes first, so a row with gaps rarely pays
+    for the join, and the join has one name per line of the row, so the
+    block is still read in linear time.  The comparison keeps every check
+    the tokens make: each line is the name the writer would use, so no v is
+    out of range or written with leading zeros, and the v's rise by one from
+    a.  Only a > u and (u, a) > ``last`` are left to test.  A run then
+    extends u's list with the shared ints ``verts[a : a + c]`` and appends u
+    to each list of ``nbrs[a : a + c]``, one slice in place of a lookup per
+    v.
+
+    Any other row is split once on its prefix, so only its v's become tokens
+    and lookups.  Every part must be a vertex name, so no part holds a "\\n"
+    and every line of the row starts with the prefix; and its v's must rise
+    from above u and from ``last``.  A row is tested for a run only when
+    the row before it was one, or starts the block: rows with gaps, as in
+    G(n, p), seldom follow a run, so they skip the test, while a gap among
+    runs costs one split row.
     """
-    size, start, step = len(block), 0, 64
+    size, start, step, runs = len(block), 0, 64, True
     while start < size:
         space = block.find(b" ", start)
         prefix = block[start : space + 1]
@@ -339,15 +371,35 @@ def _read_rows(
         end = block.find(b"\n", block.rfind(prefix, start, probe) + 1)
         if end < 0:
             end = size
-        try:
-            u = names[block[start + 1 : space]]
-            vs = list(map(names.__getitem__, block[space + 1 : end].split(prefix)))
-        except KeyError:  # out of range, leading zeros, or another row's line
+        u = names.get(block[start + 1 : space])
+        if u is None:  # out of range, or written with leading zeros
             return None
-        if (u, vs[0]) <= last or not all(map(lt, [u, *vs], vs)):
-            return None
+        if runs:
+            first_end = block.find(b"\n", space, end)
+            a = names.get(block[space + 1 : end if first_end < 0 else first_end])
+            lines = block.count(b"\n", start, end)
+            runs = (
+                a is not None
+                and a + lines <= len(verts)
+                and block.endswith(vnames[a + lines - 1], 0, end)
+                and block[space + 1 : end] == prefix.join(vnames[a : a + lines])
+            )
+        if runs:
+            if a <= u or (u, a) <= last:
+                return None
+            vs = verts[a : a + lines]
+            lower = nbrs[a : a + lines]
+        else:
+            try:
+                vs = list(map(names.__getitem__, block[space + 1 : end].split(prefix)))
+            except KeyError:  # out of range, leading zeros, or another row's line
+                return None
+            if (u, vs[0]) <= last or not all(map(lt, [u, *vs], vs)):
+                return None
+            lower = map(nbrs.__getitem__, vs)
+            runs = vs[-1] - vs[0] < len(vs)
         nbrs[u].extend(vs)
-        any(map(list.append, map(nbrs.__getitem__, vs), repeat(u)))
+        any(map(list.append, lower, repeat(u)))
         last, step, start = (u, vs[-1]), end - start, end
     return last
 

@@ -158,7 +158,12 @@ def _str(value: int) -> str:
 
 
 def parse_labelling(text: str) -> Labelling:
-    """Read either the "vertex label" line format or a single comma list."""
+    """Read either the "vertex label" line format or a single comma list.
+
+    In the line format a label is converted only when its text differs from
+    the line before's, as ``serialize_labelling`` writes one conversion per
+    run, so a run of equal labels costs one conversion and shares one int.
+    """
     data_lines = [
         (idx, line)
         for idx, line in enumerate(map(str.strip, text.splitlines()), start=1)
@@ -173,12 +178,15 @@ def parse_labelling(text: str) -> Labelling:
         except ValueError:
             raise ParseError("comma form must contain integers only", idx) from None
     by_vertex: dict[int, int] = {}
+    last = lab = None
     for idx, line in data_lines:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("expected 'vertex label'", idx)
         try:
-            v, lab = _int(parts[0]), _int(parts[1])
+            v = _int(parts[0])
+            if parts[1] != last:
+                lab, last = _int(parts[1]), parts[1]
         except ValueError:
             raise ParseError("vertex and label must be integers", idx) from None
         if v in by_vertex:

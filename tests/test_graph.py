@@ -540,22 +540,38 @@ def test_empty_digit_runs_go_to_the_line_loop(monkeypatch, text, block):
 
 
 def test_block_reader_reads_rows_and_texts_of_many_blocks():
-    removed = construct_upper(300).removed
+    k300 = remove_edges(complete_graph(300), construct_upper(300).removed)
     # Row 0 of the star, about 96 KB, is cut between two blocks of long
     # rows; K_400 without the edges (200, v), v > 200, has an empty row 200
-    # inside a block of long rows.
+    # inside a block of long rows; K_600 without the edge (300, 450) has one
+    # row with a gap among rows that are runs.
     star = graph_from_edges(12001, [(0, v) for v in range(1, 12001)] + [(1, 12000)])
     gap = remove_edges(complete_graph(400), [(200, v) for v in range(201, 400)])
     for g in [
-        remove_edges(complete_graph(300), removed),
+        k300,
         path_power(3000, 4),
         complete_graph(1),
         star,
         gap,
+        remove_edges(complete_graph(600), [(300, 450)]),
     ]:
         text = serialize_graph(g)
         variants = [text.replace("\n", "\r\n"), text.replace("\n", "\n\n")[:-2]]
         _assert_only_the_written_text_is_read_whole(g, text, variants)
+    # Row 0 of K_300 minus the removals is the run 1..299, in a block of long
+    # rows.  A leading zero inside it fails the run comparison and leaves the
+    # text to the line loop, which reads the same graph.  149 in place of 150
+    # keeps the row's line count and last line, so only the comparison tells
+    # it from a run; the split path then refuses the repeated 149.
+    text = serialize_graph(k300)
+    assert "\n0 149\n0 150\n0 151\n" in text
+    _assert_only_the_written_text_is_read_whole(
+        k300, text, [text.replace("\n0 150\n", "\n0 0150\n")]
+    )
+    repeated = text.replace("\n0 150\n", "\n0 149\n")
+    assert graph_module._parse_whole(repeated) is None
+    with pytest.raises(ParseError, match=r"duplicate edge \(0, 149\)"):
+        parse_graph(repeated)
 
 
 def test_parse_graph_peak_memory_stays_within_four_graphs():
@@ -572,3 +588,5 @@ def test_parse_graph_peak_memory_stays_within_four_graphs():
             tracemalloc.stop()
         assert parsed == g
         assert peak <= 4 * retained, (g, peak / retained)
+        # One int object per vertex, shared by every list that holds it.
+        assert len({id(x) for row in parsed.adjacency for x in row}) == g.n

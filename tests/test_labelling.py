@@ -180,6 +180,26 @@ def test_parse_labelling_errors(text):
         parse_labelling(text)
 
 
+def test_parse_labelling_converts_a_run_of_equal_labels_once(monkeypatch):
+    big = 1 << 90
+    labels = parse_labelling(f"0 {big}\n1 {big}\n2 {big}\n3 7\n4 {big}\n")
+    assert labels == (big, big, big, 7, big)
+    assert labels[0] is labels[1] is labels[2]
+    values = construct_upper(300).labelling
+    text = serialize_labelling(values)
+    oracle = labelling_module._int
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return oracle(token)
+
+    monkeypatch.setattr(labelling_module, "_int", counted)
+    assert parse_labelling(text) == values
+    # One conversion per vertex number and one per run of equal labels.
+    assert len(calls) == len(values) + _runs(values)
+
+
 def test_serialize_round_trip():
     labels = (2, 1, 4, 1 << 80)
     assert parse_labelling(serialize_labelling(labels)) == labels
