@@ -422,18 +422,33 @@ def _parsed(parse, text):
         return "error", str(exc), exc.line_no
 
 
+def _in_written_layout(expected, text):
+    """Whether the oracle accepted text and it is byte for byte what
+    serialize_graph writes for that graph.  A block reader must read such a
+    text itself: the line loop behind it would give the same graph, so only
+    this check sees a reader that refuses a valid block."""
+    if expected[0] == "error":
+        return False
+    n, edges, _ = expected
+    return text == serialize_graph(graph_from_edges(n, edges))
+
+
 def test_parse_graph_agrees_with_the_line_by_line_oracle():
     rng = random.Random(2024)
-    whole = 0
+    whole = written = 0
     for case in range(6000):
         text = _random_edge_text(rng)
         expected = _parsed(_old_parse_graph, text)
         assert _parsed(lambda t: _fields(parse_graph(t)), text) == expected, (case, text)
         g = graph_module._parse_whole(text)
+        if _in_written_layout(expected, text):
+            written += 1
+            assert g is not None, (case, text)
         if g is not None:
             whole += 1
             assert _fields(g) == expected, (case, text)
     assert whole > 300  # the whole-text path itself was exercised
+    assert written > 300  # 382 of the 6,000 texts are in the written layout
 
 
 def _assert_only_the_written_text_is_read_whole(g, text, variants):
@@ -506,10 +521,12 @@ def test_block_reader_agrees_with_the_oracle_at_every_cut(monkeypatch):
     # _LONG_ROW 0 reads every block row by row, 10**9 edge by edge; the
     # other reader is replaced by one that fails the test if it runs.
     rng = random.Random(2020)
-    read = 0
+    read = written = 0
     for case in range(700):
         text = _defective_layout_text(rng)
         expected = _parsed(_old_parse_graph, text)
+        in_layout = _in_written_layout(expected, text)
+        written += in_layout
         for block in range(1, 24, 2):
             monkeypatch.setattr(graph_module, "_BLOCK", block)
             for long_row, unused in ((0, "_read_edges"), (10**9, "_read_rows")):
@@ -518,8 +535,11 @@ def test_block_reader_agrees_with_the_oracle_at_every_cut(monkeypatch):
                     patch.setattr(graph_module, unused, _wrong_reader)
                     got = _parsed(lambda t: _fields(parse_graph(t)), text)
                     assert got == expected, (case, block, long_row, text)
-                    read += graph_module._parse_whole(text) is not None
+                    whole = graph_module._parse_whole(text)
+                    assert whole is not None or not in_layout, (case, block, long_row, text)
+                    read += whole is not None
     assert read > 4000  # the block readers themselves were exercised
+    assert written > 150  # 213 of the 700 texts are in the written layout
 
 
 @pytest.mark.parametrize(

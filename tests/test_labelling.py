@@ -11,6 +11,8 @@ from gaplab import (
     ParseError,
     UnsupportedInputError,
     complete_graph,
+    construct_cycle_power_labelling,
+    construct_path_power_labelling,
     construct_upper,
     graph_from_edges,
     induced_colouring,
@@ -185,8 +187,7 @@ def test_parse_labelling_converts_a_run_of_equal_labels_once(monkeypatch):
     labels = parse_labelling(f"0 {big}\n1 {big}\n2 {big}\n3 7\n4 {big}\n")
     assert labels == (big, big, big, 7, big)
     assert labels[0] is labels[1] is labels[2]
-    values = construct_upper(300).labelling
-    text = serialize_labelling(values)
+    assert labelling_module._CHAIN_FLOOR == _FLOOR
     oracle = labelling_module._int
     calls = []
 
@@ -194,10 +195,21 @@ def test_parse_labelling_converts_a_run_of_equal_labels_once(monkeypatch):
         calls.append(token)
         return oracle(token)
 
-    monkeypatch.setattr(labelling_module, "_int", counted)
-    assert parse_labelling(text) == values
-    # One conversion per vertex number and one per run of equal labels.
-    assert len(calls) == len(values) + _runs(values)
+    for values in (
+        construct_upper(300).labelling,
+        construct_path_power_labelling(1100, 2),  # 2^1025..2^1099 continue a chain
+        construct_cycle_power_labelling(2400, 5),  # rises to 2^1199, then falls from 2^2400
+        (1 << 1100, 1 << 1100, 1 << 1101, 5, 1 << 1101, 1 << 1102, 1 << 1100),
+        (3 << 1100, 3 << 1101, 3 << 1100),  # doubling, but no power of two
+    ):
+        text = serialize_labelling(values)
+        monkeypatch.setattr(labelling_module, "_int", counted)
+        calls.clear()
+        assert parse_labelling(text) == values
+        monkeypatch.undo()
+        # One conversion per vertex number and one per run of equal labels
+        # that does not continue a chain.
+        assert len(calls) == len(values) + _conversions(values), values[:3]
 
 
 def test_serialize_round_trip():
@@ -205,12 +217,28 @@ def test_serialize_round_trip():
     assert parse_labelling(serialize_labelling(labels)) == labels
 
 
-def _runs(values):
-    return sum(1 for i, x in enumerate(values) if i == 0 or x != values[i - 1])
+_FLOOR = 1 << 1024  # where labelling._power_steps says chains of powers start
+
+
+def _conversions(values):
+    """The runs of equal values that do not continue a chain.
+
+    A run continues a chain when the run before it is a power of two of at
+    least _FLOOR and the run's value is twice or half of that power.
+    """
+    count = 0
+    for i, x in enumerate(values):
+        before = values[i - 1] if i else None
+        if i and x == before:
+            continue
+        power = i > 0 and before >= _FLOOR and bin(before).count("1") == 1
+        count += not (power and x in (2 * before, before // 2))
+    return count
 
 
 def test_serialize_labelling_converts_once_per_run_and_equals_the_per_value_oracle(monkeypatch):
     big = 2**14299  # 4,305 digits, past the default int <-> str digit limit
+    f = 1024  # the exponent of _FLOOR
     cases = [
         (),
         (5,),
@@ -220,6 +248,16 @@ def test_serialize_labelling_converts_once_per_run_and_equals_the_per_value_orac
         (0, 0, 3, 0, 3, 3, 0),  # a colouring, with colour 0
         (1, big, big, big, 2, big, big),
         construct_upper(300).labelling,
+        # Chains across the floor, both ways: 2^1024 starts one, and its
+        # half is the last step of a falling one.
+        tuple(1 << e for e in range(f - 3, f + 40)),
+        tuple(1 << e for e in range(f + 40, f - 4, -1)),
+        # Runs of equal values inside a chain, and chains broken by a jump,
+        # by a value that is not a power of two and by a negative power.
+        tuple(1 << e for e in (f + 300, f + 300, f + 301, f + 300, f + 300, f + 302, f + 303)),
+        (1 << 2000, 1 << 2001, 3 << 2001, 1 << 2003, 1 << 2004, -(1 << 2005), 1 << 2004),
+        (big, big << 1, big << 1, big << 2, big, big >> 1, big >> 2),
+        (3 << 2000, 3 << 2001, 3 << 2000),  # doubling and halving, but no power of two
     ]
     oracle = labelling_module._str
     calls = []
@@ -242,12 +280,122 @@ def test_serialize_labelling_converts_once_per_run_and_equals_the_per_value_orac
             text = serialize_labelling(values)
             monkeypatch.undo()
             assert text == expected, values[:10]
-            assert len(calls) == _runs(values), values[:10]
+            assert len(calls) == _conversions(values), values[:10]
             if values:
                 assert parse_labelling(text) == values
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    assert [_conversions(values) for values in cases[-6:]] == [4, 3, 2, 5, 2, 3]
+
+
+def _power_walk(rng, length):
+    """Mostly powers of two whose exponent steps by -1, 0 or +1 around the
+    chain floor, with jumps, near powers and small values mixed in."""
+    e = rng.randint(1000, 1100)
+    values = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.75:
+            e = max(0, e + rng.choice((-1, 0, 1, 1)))
+            values.append(1 << e)
+        elif roll < 0.85:
+            e = rng.randint(0, 3000)
+            values.append(1 << e)
+        else:
+            values.append((1 << e) + rng.choice((-1, 1, 1 << rng.randrange(e + 1))))
+    return tuple(values)
+
+
+def _first_difference(got, expected):
+    """None if got == expected, else the first index where they differ.
+
+    A cheap failure message for texts of megabytes and tuples of thousands
+    of huge ints, which pytest's own diff takes minutes to show.
+    """
+    if got == expected:
+        return None
+    pairs = enumerate(zip(got, expected))
+    return next((i for i, (a, b) in pairs if a != b), min(len(got), len(expected)))
+
+
+def test_chains_of_powers_equal_the_per_value_oracle_and_round_trip():
+    oracle = labelling_module._str
+    rng = random.Random(36)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)  # 2^15000 has 4,516 digits
+    try:
+        # Every power of two up to 2^15000, rising and falling: one oracle
+        # text per value, taken once for both.
+        texts = [oracle(1 << e) for e in range(15001)]
+        powers = [1 << e for e in range(15001)]
+        for values, value_texts in ((powers, texts), (powers[::-1], texts[::-1])):
+            text = "".join(f"{v} {t}\n" for v, t in enumerate(value_texts))
+            assert _first_difference(serialize_labelling(values), text) is None
+            assert _first_difference(parse_labelling(text), tuple(values)) is None
+        cases = [
+            construct_path_power_labelling(5000, 4),
+            construct_cycle_power_labelling(6000, 5),
+            construct_upper(300).labelling,
+            tuple(rng.getrandbits(rng.randint(1, 20000)) + 1 for _ in range(300)),
+        ] + [_power_walk(rng, 150) for _ in range(40)]
+        for values in cases:
+            text = serialize_labelling(values)
+            expected = "".join(f"{v} {oracle(x)}\n" for v, x in enumerate(values))
+            assert _first_difference(text, expected) is None, len(values)
+            assert _first_difference(parse_labelling(text), values) is None, len(values)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _read_by_int(text):
+    """The outcome of the line form read with _int on every token."""
+    labels = []
+    for idx, line in enumerate(text.splitlines(), start=1):
+        try:
+            labels.append(labelling_module._int(line.split()[1]))
+        except ValueError:
+            return "error", f"line {idx}: vertex and label must be integers", idx
+    return tuple(labels)
+
+
+def _parse_outcome(text):
+    try:
+        return parse_labelling(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line_no
+
+
+def test_tokens_near_the_next_power_read_as_int_reads_them():
+    e = 1200
+    for before, power in ((1 << (e - 1), 1 << e), (1 << (e + 1), 1 << e)):  # doubling, halving
+        p = str(power)
+        near = [
+            p,
+            "0" + p,
+            "+" + p,
+            "-" + p,
+            p[:3] + "_" + p[3:],
+            str(power + 1),
+            str(power - 1),
+            str(power * 10),
+            p[:-1],
+            p + "x",
+            p[:3] + "__" + p[3:],
+            "_" + p,
+            p + "_",
+            "++" + p,
+            "\u0661" + p,  # an Arabic-Indic digit one, which int() reads
+        ]
+        for i in (0, 1, len(p) // 2, len(p) - 1):  # one digit changed
+            near.append(p[:i] + str((int(p[i]) + 1) % 10) + p[i + 1 :])
+        for token in near:
+            # The line after the near miss continues the chain from the
+            # value the near miss reads as, when it reads as a power.
+            text = f"0 {before}\n1 {token}\n2 {power << 1}\n"
+            assert _parse_outcome(text) == _read_by_int(text), token[:12]
 
 
 def test_verify_by_colour_class_equals_a_scan_of_every_edge():

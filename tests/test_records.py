@@ -56,6 +56,49 @@ def test_fresh_interpreter_loads_no_dataclasses_typing_or_decimal():
     assert Decimal(report["omega_5"]) == Decimal("0.2070")
 
 
+# decide and verify on a random graph of the decide-corpus kind, and label
+# of a small path power, all through the CLI, then a chain of powers of two
+# past labelling._power_steps' floor, which is what first loads decimal.
+_DECIDE_PROBE = """
+import contextlib, io, json, os, random, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from gaplab import cli, graph_from_edges, is_connected, serialize_graph, serialize_labelling
+rng = random.Random(18)
+while True:
+    g = graph_from_edges(18, [(u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.3])
+    if is_connected(g):
+        break
+with tempfile.TemporaryDirectory() as tmp:
+    graph, labels = os.path.join(tmp, "g.graph"), os.path.join(tmp, "g.labels")
+    with open(graph, "w") as f:
+        f.write(serialize_graph(g))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes = [
+            cli.main(["decide", "--graph", graph]),
+            cli.main(["label", "--graph", graph, "-o", labels]),
+            cli.main(["verify", "--graph", graph, "--labels", labels]),
+            cli.main(["label", "--family", "path-power", "--n", "1000", "--k", "3"]),
+        ]
+after_cli = "decimal" in sys.modules
+serialize_labelling([1 << 1024, 1 << 1025])
+print(json.dumps({"codes": codes, "out": out.getvalue()[:40], "after_cli": after_cli,
+                  "after_chain": "decimal" in sys.modules}))
+"""
+
+
+def test_decide_and_labels_below_the_chain_floor_load_no_decimal():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaplab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _DECIDE_PROBE, src],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    report = json.loads(out)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["out"].startswith("labelable: yes\n")
+    assert not report["after_cli"], "decide, label or verify loaded decimal"
+    assert report["after_chain"]
+
+
 def test_every_annotation_resolves():
     # A name that only a function body imports (decimal's Decimal, say) must
     # not appear in an annotation, or get_type_hints raises NameError.
