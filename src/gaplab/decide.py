@@ -1,9 +1,11 @@
 """Complete decision procedure for gap-vertex-labelability.
 
 A graph is labelable iff some bijection from a fixed set of n "marks" to the
-vertices induces a proper colouring: any valid labelling can be made
-injective and then replaced, rank for rank, by shifted Golomb-ruler marks
-without breaking properness, so searching mark bijections is exhaustive.
+vertices induces a proper colouring: by the rank lemma (proved in
+``transforms._relabel_by_rank``), any valid labelling, ties included, can be
+replaced rank for rank, ties broken by vertex index, by shifted
+Golomb-ruler marks without breaking properness, so searching mark
+bijections is exhaustive.
 The marks, ``transforms.decision_marks(n)``, are the first n Erdos-Turan
 marks for p = next_prime(n), shifted by 2p**2 so that degree-one colours
 (whole labels) can never collide with gap colours (mark differences).

@@ -1,19 +1,21 @@
 """Label transforms that preserve gap-labelling validity.
 
-Three rank-based relabellings are provided:
+Three rank-based relabellings are provided.  A vertex's rank is its
+position in (label, vertex index) order, so tied labels rank by index.
 
 * ``distinctify`` makes all labels pairwise distinct while preserving their
-  relative order (ties broken by vertex index), via label*2n + rank.
-* ``power_two_relabel`` maps the vertex with the i-th smallest label to 2**i,
-  capping the largest label at 2**(n-1).
+  relative order, via label*2n + rank.
+* ``power_two_relabel`` maps the vertex of rank i to 2**i, capping the
+  largest label at 2**(n-1).
 * ``golomb_relabel`` maps the vertex of rank i to the i-th mark of a Golomb
   ruler shifted by 2p**2, capping the largest label at O(n**2).  The shift
   keeps every degree-one colour (a full label, at least 2p**2) above every
   gap colour (a mark difference, at most 2p**2 - p - 1).  These n marks are
   ``decision_marks(n)``, which ``decide`` and ``naive_decide`` assign too.
 
-All three require a valid input labelling; the ruler and power-of-two maps
-additionally require distinct labels (apply ``distinctify`` first).
+All three take any valid labelling, ties included, and share one core,
+``_relabel_by_rank``, whose docstring proves the rank lemma: a valid
+labelling relabels exactly as its ``distinctify`` does.
 """
 
 from __future__ import annotations
@@ -66,7 +68,29 @@ def is_golomb_ruler(marks) -> bool:
     return len(diffs) == len(set(diffs))
 
 
-def _require_valid(g: Graph, labels) -> Labelling:
+def _relabel_by_rank(g: Graph, labels, value) -> Labelling:
+    """Send the vertex of rank r to ``value(r, label)``; the labels must be
+    valid, and may repeat.
+
+    The rank lemma: the power-of-two and mark maps need no ``distinctify``
+    first.  Call an edge a *clash edge* when both its ends have degree >= 2
+    and the same highest- and lowest-ranked neighbours.
+
+    * In the (label, index) order of a valid labelling no edge clashes: the
+      two ends of a clash edge would share their largest and smallest
+      neighbour labels, so their colour, and the labelling would not be
+      valid.
+    * Under the marks, distinct extreme pairs give distinct gaps (a Golomb
+      ruler), and a leaf's colour, a mark of at least 2p**2, lies above
+      every gap.
+    * Under powers of two, distinct pairs give distinct gaps 2**a - 2**b
+      (binary).  A leaf whose neighbour w has rank c has colour 2**c, which
+      equals w's gap only if w's lowest neighbour has rank c, that is, is w.
+
+    So both maps send every valid labelling to a valid one, and to the same
+    one as its ``distinctify``, which keeps the order.  The sort is stable
+    over ascending vertex indices, so ties keep index order.
+    """
     labels = tuple(labels)
     ok, conflicts = is_gap_labelling(g, labels)
     if not ok:
@@ -74,49 +98,25 @@ def _require_valid(g: Graph, labels) -> Labelling:
         raise InvalidLabellingError(
             f"input is not a valid gap labelling (conflicts: {listed})", conflicts=conflicts
         )
-    return labels
-
-
-def _ranks(labels: Labelling) -> list[int]:
-    """Vertices ordered by (label, vertex index); position = rank.
-
-    The sort is stable over ascending vertex indices, so ties keep index order.
-    """
-    return sorted(range(len(labels)), key=labels.__getitem__)
+    out = [0] * g.n
+    for rank, v in enumerate(sorted(range(g.n), key=labels.__getitem__)):
+        out[v] = value(rank, labels[v])
+    return tuple(out)
 
 
 def distinctify(g: Graph, labels) -> Labelling:
     """Make all labels distinct while keeping the labelling valid.
 
-    The vertex of rank i (stable sort by label, then index) is relabelled
-    label*2n + i, which preserves the label order and therefore every gap
-    comparison that decides properness.
+    The vertex of rank r is relabelled label*2n + r, which preserves the
+    label order and therefore every gap comparison that decides properness.
     """
-    labels = _require_valid(g, labels)
     scale = 2 * g.n
-    out = [0] * g.n
-    for rank, v in enumerate(_ranks(labels)):
-        out[v] = labels[v] * scale + rank
-    return tuple(out)
-
-
-def _relabel_by_rank(g: Graph, labels, values) -> Labelling:
-    """Send the vertex of rank i to ``values[i]``; the labels must be valid
-    and pairwise distinct."""
-    labels = _require_valid(g, labels)
-    if len(set(labels)) != len(labels):
-        raise InvalidLabellingError(
-            "labels must be pairwise distinct; apply distinctify first"
-        )
-    out = [0] * g.n
-    for rank, v in enumerate(_ranks(labels)):
-        out[v] = values[rank]
-    return tuple(out)
+    return _relabel_by_rank(g, labels, lambda rank, label: label * scale + rank)
 
 
 def power_two_relabel(g: Graph, labels) -> Labelling:
-    """Send the vertex with the i-th smallest label to 2**i."""
-    return _relabel_by_rank(g, labels, [1 << i for i in range(g.n)])
+    """Send the vertex of rank r to 2**r."""
+    return _relabel_by_rank(g, labels, lambda rank, _: 1 << rank)
 
 
 def decision_marks(n: int) -> tuple[int, ...]:
@@ -127,5 +127,6 @@ def decision_marks(n: int) -> tuple[int, ...]:
 
 
 def golomb_relabel(g: Graph, labels) -> Labelling:
-    """Send the vertex of rank i to ``decision_marks(n)[i]``."""
-    return _relabel_by_rank(g, labels, decision_marks(g.n))
+    """Send the vertex of rank r to ``decision_marks(n)[r]``."""
+    marks = decision_marks(g.n)
+    return _relabel_by_rank(g, labels, lambda rank, _: marks[rank])

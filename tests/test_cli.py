@@ -43,6 +43,13 @@ def test_gen_label_verify_flow(tmp_path, capsys):
     assert out.strip() == "VALID"
 
 
+def test_gen_to_dash_writes_stdout_and_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "gen", "--family", "complete", "--n", "4", "-o", "-")
+    assert (code, out) == (0, serialize_graph(complete_graph(4)))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("family, n, k", [
     ("complete", 3, None), ("complete", 5, None),
     ("path-power", 30, 3), ("path-power", 7, 4),

@@ -348,6 +348,8 @@ def test_budget_is_enforced_and_reported():
     with pytest.raises(SearchBudgetExceeded) as exc:
         decide(complete_graph(6), budget=3)
     assert exc.value.tried == 4
+    assert exc.value.budget == 3
+    assert str(exc.value) == "search budget exhausted after 4 assignments (cap 3)"
 
 
 def test_budget_spans_every_first_vertex():
@@ -388,6 +390,8 @@ def test_rejects_disconnected_and_trivial_inputs():
     for g in (complete_graph(1), graph_from_edges(4, [(0, 1), (2, 3)])):
         with pytest.raises(UnsupportedInputError):
             shared_gap_certificate(g)
+        with pytest.raises(UnsupportedInputError):
+            naive_decide(g)
 
 
 def test_least_label_counts_for_tiny_graphs():

@@ -60,7 +60,7 @@ def test_path_power_argument_errors():
         path_power(5, 0)
     with pytest.raises(ValueError):
         path_power(5, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n >= 2"):
         path_power(1, 1)
 
 
@@ -123,6 +123,7 @@ def test_remove_edges_identity_and_errors():
     with pytest.raises(MissingEdgeError) as exc:
         remove_edges(remove_edges(k4, [(0, 1)]), [(1, 0)])
     assert exc.value.pair == (0, 1)
+    assert str(exc.value) == "edge (0, 1) is not present in the graph"
     with pytest.raises(ValueError):
         remove_edges(k4, [(0, 1), (1, 0)])
 
@@ -230,6 +231,16 @@ def test_graph_from_edges_validation():
         graph_from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(0, 1), (1, 0)])
+
+
+def test_graph_from_edges_rejects_no_vertices_and_a_first_endpoint_out_of_range():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="vertex count must be positive"):
+            graph_from_edges(n, [])
+    # Without the check on u, (-1, 1) would be read as (2, 1) by row index.
+    for edge in ((-1, 1), (3, 1)):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            graph_from_edges(3, [edge])
 
 
 def test_is_connected():

@@ -92,8 +92,13 @@ def test_length_and_positivity_validation():
 def test_isolated_vertices_unsupported():
     with pytest.raises(UnsupportedInputError):
         induced_colouring(graph_from_edges(3, [(0, 1)]), (1, 2, 3))
-    with pytest.raises(UnsupportedInputError):
+    with pytest.raises(UnsupportedInputError, match="colouring needs at least two vertices"):
         induced_colouring(complete_graph(1), (1,))
+
+
+def test_validate_labelling_returns_a_tuple():
+    labels = validate_labelling(complete_graph(3), [2, 1, 4])
+    assert type(labels) is tuple and labels == (2, 1, 4)
 
 
 def test_colours_huge_labels():
@@ -171,6 +176,17 @@ def test_parse_labelling_line_form():
 
 def test_parse_labelling_comma_form():
     assert parse_labelling("2, 1, 4\n") == (2, 1, 4)
+    with pytest.raises(ParseError, match="line 2: comma form must contain integers only"):
+        parse_labelling("# one line\n2, x, 4\n")
+
+
+def test_parse_labelling_skips_blank_and_comment_lines_between_labels():
+    assert parse_labelling("0 2\n\n  \n# note\n1 1\n  # indented\n2 4\n") == (2, 1, 4)
+
+
+def test_parse_labelling_reads_a_comma_on_the_first_of_many_lines_as_the_line_format():
+    with pytest.raises(ParseError, match="line 1: expected 'vertex label'"):
+        parse_labelling("2,1\n1 1\n")
 
 
 @pytest.mark.parametrize(

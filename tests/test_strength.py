@@ -57,6 +57,11 @@ def general_reference(n_max):
     return table
 
 
+def test_restricted_lb_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        restricted_lb(-1)
+
+
 # --- quadratic table builders, the oracle for the slope merges ---------------
 
 

@@ -1,21 +1,26 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from gaplab import (
     InvalidLabellingError,
     complete_graph,
+    construct_upper,
     cycle_power,
+    decision_marks,
     distinctify,
     erdos_turan_ruler,
     golomb_relabel,
+    graph_from_edges,
     induced_colouring,
+    is_connected,
     is_gap_labelling,
     is_golomb_ruler,
     is_prime,
     next_prime,
     path_power,
     power_two_relabel,
+    remove_edges,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -34,6 +39,10 @@ def test_next_prime_stays_in_doubling_window():
         p = next_prime(n)
         assert is_prime(p)
         assert n <= p <= 2 * n or (n == 1 and p == 2)
+
+
+def test_is_prime_below_two_is_false():
+    assert [p for p in range(-7, 12) if is_prime(p)] == [2, 3, 5, 7, 11]
 
 
 def test_next_prime_rejects_nonpositive():
@@ -139,9 +148,90 @@ def test_power_two_relabel_max_label():
     assert is_gap_labelling(g, out)[0]
 
 
-def test_power_two_relabel_needs_distinct_labels():
-    with pytest.raises(InvalidLabellingError):
-        power_two_relabel(cycle_power(6, 2), (1, 2, 4, 1, 2, 4))
+# The three relabellings as three loops over the same ranks, as they were
+# before one core served them all; only the validity check is left out.
+def _loop_ranks(labels):
+    return sorted(range(len(labels)), key=labels.__getitem__)
+
+
+def _loop_distinctify(labels):
+    scale = 2 * len(labels)
+    out = [0] * len(labels)
+    for rank, v in enumerate(_loop_ranks(labels)):
+        out[v] = labels[v] * scale + rank
+    return tuple(out)
+
+
+def _loop_relabel(labels, values):
+    out = [0] * len(labels)
+    for rank, v in enumerate(_loop_ranks(labels)):
+        out[v] = values[rank]
+    return tuple(out)
+
+
+def _valid_labellings_up_to_five():
+    """Every valid labelling with labels in {1, 2, 3} of every connected
+    labelled graph on 2..5 vertices."""
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if not is_connected(g):
+                continue
+            for labels in product((1, 2, 3), repeat=n):
+                if is_gap_labelling(g, labels)[0]:
+                    yield g, labels
+
+
+def _k30_minus_removals():
+    built = construct_upper(30)
+    return remove_edges(complete_graph(30), built.removed), built.labelling
+
+
+def _check_relabels_as_its_distinctify(g, labels):
+    """Relabelling a valid labelling, ties included, equals relabelling its
+    distinctify, which equals the loops on those distinct labels."""
+    distinct = distinctify(g, labels)
+    assert distinct == _loop_distinctify(labels)
+    for relabel, values in (
+        (power_two_relabel, [1 << i for i in range(g.n)]),
+        (golomb_relabel, decision_marks(g.n)),
+    ):
+        out = relabel(g, labels)
+        assert out == relabel(g, distinct) == _loop_relabel(distinct, values)
+        assert is_gap_labelling(g, out)[0]
+
+
+def test_relabel_with_ties_equals_relabel_of_distinctify_up_to_five():
+    valid = tied = 0
+    for g, labels in _valid_labellings_up_to_five():
+        _check_relabels_as_its_distinctify(g, labels)
+        valid += 1
+        tied += len(set(labels)) < g.n
+    assert (valid, tied) == (20802, 20790)
+
+
+@pytest.mark.parametrize("g, labels", [
+    (cycle_power(6, 2), (1, 2, 4, 1, 2, 4)),
+    (cycle_power(7, 2), (1, 8, 4, 4, 4, 4, 2)),
+    _k30_minus_removals(),
+], ids=["C_6^2", "C_7^2", "K_30-removals"])
+def test_relabel_with_ties_equals_relabel_of_distinctify(g, labels):
+    assert len(set(labels)) < g.n
+    _check_relabels_as_its_distinctify(g, labels)
+
+
+@pytest.mark.parametrize("relabel", [distinctify, power_two_relabel, golomb_relabel])
+def test_invalid_tied_labelling_raises_with_its_conflicts(relabel):
+    g, labels = cycle_power(6, 2), (1, 1, 2, 1, 1, 2)
+    conflicts = ((0, 1), (0, 4), (1, 3), (3, 4))
+    assert is_gap_labelling(g, labels) == (False, conflicts)
+    with pytest.raises(InvalidLabellingError) as exc:
+        relabel(g, labels)
+    assert exc.value.conflicts == conflicts
+    assert str(exc.value) == (
+        "input is not a valid gap labelling (conflicts: (0, 1), (0, 4), (1, 3), (3, 4))"
+    )
 
 
 def test_golomb_relabel_triangle():
