@@ -30,11 +30,11 @@ class UnsupportedInputError(GapLabError):
 class InvalidLabellingError(GapLabError):
     """A transform received a labelling that is not a valid gap labelling.
 
-    ``conflicts`` holds the conflicting edges when the failure is a colour
-    clash.
+    ``conflicts`` holds every conflicting edge, as ``is_gap_labelling``
+    lists them.
     """
 
-    def __init__(self, message: str, conflicts=None):
+    def __init__(self, message: str, conflicts):
         super().__init__(message)
         self.conflicts = conflicts
 

@@ -134,21 +134,19 @@ def path_power(n: int, k: int) -> Graph:
 
 
 def cycle_power(n: int, k: int) -> Graph:
-    """k-th power of the cycle C_n: u ~ v iff circular distance <= k."""
+    """k-th power of the cycle C_n: u ~ v iff circular distance <= k.
+
+    Row u is the sorted set of u + d and u - d (mod n) for d = 1..min(k,
+    n // 2); the set keeps one copy of the vertex met from both sides, at
+    d = n / 2 for even n.
+    """
     if n < 3:
         raise ValueError(f"cycle power needs n >= 3, got {n}")
     if k < 1:
         raise ValueError(f"cycle power needs k >= 1, got {k}")
-    # Each vertex u meets u + d (mod n) for d = 1..min(k, n // 2); the set
-    # drops the pairs met from both ends, at d = n / 2 for even n.
-    return _build(
-        n,
-        {
-            (u, u + d) if u + d < n else (u + d - n, u)
-            for d in range(1, min(k, n // 2) + 1)
-            for u in range(n)
-        },
-    )
+    h = min(k, n // 2)
+    offsets = (*range(-h, 0), *range(1, h + 1))
+    return Graph(n, tuple(tuple(sorted({(u + d) % n for d in offsets})) for u in range(n)))
 
 
 def remove_edges(g: Graph, removals: Iterable[Edge]) -> Graph:

@@ -21,7 +21,8 @@ n = 7 on the construction removes more.
 
 All arithmetic is on integers, with no floating point anywhere: the bound
 checks compare integer powers, and the rendered power-law column is rounded
-with an integer fifth root and only then written as a Decimal.
+with an integer fifth root and written as fixed-point text from that
+integer, with no Decimal and so no decimal context.
 """
 
 from __future__ import annotations
@@ -145,20 +146,16 @@ def _iroot5(m: int) -> int:
         x = y
 
 
-def power_law_column(n_max: int) -> tuple:
-    """(3/100) * n**1.2 for n = 0..n_max, as Decimals rounded to 4 places.
+def power_law_column(n_max: int) -> tuple[str, ...]:
+    """(3/100) * n**1.2 for n = 0..n_max, as texts rounded to 4 places.
 
     10**4 times the value is v = 300 * n**(6/5), the fifth root of
     m = 300**5 * n**6.  With r = floor(v), v rounds up iff v > r + 1/2, that
     is iff (2r + 1)**5 < 32 * m; v = r + 1/2 cannot happen, because the fifth
     power of a rational that is not an integer is not an integer.  The
-    arithmetic is on integers, and each Decimal is read from the exact string
-    "<r>E-4", so no decimal context is read or changed.  ``decimal`` is
-    imported here, on first use, so the return annotation cannot name
-    Decimal.
+    arithmetic is on integers, and each entry is the fixed-point text of the
+    rounded r, "<r // 10**4>.<r % 10**4 in four digits>".
     """
-    from decimal import Decimal
-
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     out = []
@@ -167,7 +164,7 @@ def power_law_column(n_max: int) -> tuple:
         r = _iroot5(m)
         if (2 * r + 1) ** 5 < 32 * m:
             r += 1
-        out.append(Decimal(f"{r}E-4"))
+        out.append(f"{r // 10000}.{r % 10000:04}")
     return tuple(out)
 
 

@@ -28,18 +28,14 @@ from .labelling import Labelling, is_gap_labelling
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
+    """Trial division by every d with d*d <= p.  For p < 2 the loop does not
+    run, and ``p >= 2`` answers False."""
+    d = 2
     while d * d <= p:
         if p % d == 0:
             return False
-        d += 2
-    return True
+        d += 1
+    return p >= 2
 
 
 def next_prime(n: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -99,6 +100,32 @@ def test_cycle_power_matches_its_definition():
             assert cycle_power(n, k) == graph_from_edges(n, expected), (n, k)
             if 2 * k >= n:
                 assert cycle_power(n, k) == complete_graph(n)
+
+
+def _pair_set_cycle_power(n, k):
+    """The earlier builder: C_n^k from its set of normalised pairs, through
+    ``_build``'s append-and-sort."""
+    return graph_module._build(
+        n,
+        {
+            (u, u + d) if u + d < n else (u + d - n, u)
+            for d in range(1, min(k, n // 2) + 1)
+            for u in range(n)
+        },
+    )
+
+
+def test_cycle_power_rows_equal_the_pair_set_builder():
+    for n in range(3, 41):
+        for k in range(1, n + 2):
+            assert cycle_power(n, k) == _pair_set_cycle_power(n, k), (n, k)
+    g = cycle_power(6000, 5)
+    assert g == _pair_set_cycle_power(6000, 5)
+    # The digest of `gen --family cycle-power --n 6000 --k 5`, taken from the
+    # pair-set builder; CI pins the same file.
+    assert hashlib.sha256(serialize_graph(g).encode()).hexdigest() == (
+        "fc78e9ddc4e4f72b82c6a137025d63491f588bcc02b3b02c9e29ea1cfe05526b"
+    )
 
 
 def test_cycle_power_argument_errors():

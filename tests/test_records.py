@@ -1,10 +1,12 @@
 """The result records: named tuples with fixed reprs, and a light import.
 
 Every record is a ``collections.namedtuple``, so importing gaplab loads no
-``dataclasses`` (and through it ``inspect``), no ``typing`` and, until the
-omega column is rendered, no ``decimal``; building the CLI parser loads no
-``shutil``.  So no annotation may name what only a function body imports:
-every function's type hints resolve.
+``dataclasses`` (and through it ``inspect``) and no ``typing``; building the
+CLI parser loads no ``shutil``.  Only big labels load ``decimal``: a chain of
+powers of two from 2**1024 on, or a label text past the int conversion
+limit; the strength commands and ``gen`` never do.  So no annotation may
+name what only a function body imports: every function's type hints
+resolve.
 """
 
 import importlib
@@ -15,7 +17,6 @@ import pkgutil
 import subprocess
 import sys
 import typing
-from decimal import Decimal
 
 import pytest
 
@@ -25,24 +26,35 @@ from gaplab.families import COMPLETE
 from gaplab.strength import RemovalPlan, construct_upper, power_law_column
 
 # Loads the standard-library modules gaplab itself imports first, so that the
-# check below sees only what gaplab adds, on any Python version.
+# check below sees only what gaplab adds, on any Python version.  Then the
+# strength commands and gen run through the CLI, writing into the directory
+# given as the second argument.
 _IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 import argparse, bisect, collections, functools, itertools, math, operator
 before = set(sys.modules)
 import gaplab, gaplab.cli
 gaplab.cli.build_parser()
 report = {"loaded": sorted(set(sys.modules) - before), "shutil": "shutil" in sys.modules}
-from gaplab import strength
-print(json.dumps({**report, "omega_5": str(strength.power_law_column(5)[5])}))
+from gaplab import cli, strength
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [
+        cli.main(["strength-lb", "--nmax", "300"]),
+        cli.main(["strength-ub", "--n", "300", "-o", os.path.join(sys.argv[2], "ub")]),
+        cli.main(["strength-exact", "--n", "5"]),
+        cli.main(["gen", "--family", "cycle-power", "--n", "50", "--k", "3"]),
+    ]
+print(json.dumps({**report, "omega_5": str(strength.power_law_column(5)[5]), "codes": codes,
+                  "out": out.getvalue().splitlines(), "files": sorted(os.listdir(sys.argv[2])),
+                  "decimal": "decimal" in sys.modules}))
 """
 
 
-def test_fresh_interpreter_loads_no_dataclasses_typing_or_decimal():
+def test_fresh_interpreter_loads_no_dataclasses_typing_or_decimal(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaplab.__file__)))
     out = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_PROBE, src],
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, src, str(tmp_path)],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     report = json.loads(out)
@@ -52,8 +64,17 @@ def test_fresh_interpreter_loads_no_dataclasses_typing_or_decimal():
     # Nor shutil (and with it bz2 and lzma), which argparse's stock help
     # formatter imports; under -S, site has not loaded it either.
     assert not report["shutil"]
-    # decimal loads on first use, in the same process.
-    assert Decimal(report["omega_5"]) == Decimal("0.2070")
+    assert report["codes"] == [0, 0, 0, 0]
+    lines = report["out"]
+    assert lines[0] == "n,lprime,general,omega" and lines[297].startswith("300,")
+    # strength-exact's answer follows strength-ub's count; gen's text ends it.
+    after_ub = lines.index("removed: 4500") + 1
+    assert lines[after_ub : after_ub + 2] == ["2", "50 150"] and lines[-1] == "48 49"
+    assert report["files"] == ["ub.labels", "ub.removed"]
+    # The omega column is text written from integers: no decimal, in the
+    # same process, after all four commands.
+    assert report["omega_5"] == "0.2070"
+    assert not report["decimal"], "a strength command or gen loaded decimal"
 
 
 # decide and verify on a random graph of the decide-corpus kind, and label

@@ -476,7 +476,7 @@ def test_emit_tables_row_count_and_values():
         n = int(n_s)
         assert int(lp_s) == lprime[n]
         assert int(general_s) == general[n]
-        assert Decimal(omega_s) == omega[n]
+        assert omega_s == omega[n]
 
 
 def test_emit_tables_2000_is_pinned():
@@ -487,6 +487,26 @@ def test_emit_tables_2000_is_pinned():
     assert hashlib.sha256(text).hexdigest() == (
         "d1632378e696bef16816bbd7f203aabfa2bacc5f7597804e7ea2144d9afd51fa"
     )
+
+
+def _decimal_column(n_max):
+    """The earlier column: each rounded root r written as Decimal(f"{r}E-4")."""
+    out = []
+    for n in range(n_max + 1):
+        m = 300**5 * n**6
+        r = strength._iroot5(m)
+        if (2 * r + 1) ** 5 < 32 * m:
+            r += 1
+        out.append(str(Decimal(f"{r}E-4")))
+    return tuple(out)
+
+
+def test_power_law_column_equals_the_decimal_texts():
+    omega = _decimal_column(5000)
+    assert power_law_column(5000) == omega
+    lprime, general = restricted_lb(5000), general_lb(5000)
+    rows = (f"{n},{lprime[n]},{general[n]},{omega[n]}\n" for n in range(4, 5001))
+    assert emit_tables(5000) == "n,lprime,general,omega\n" + "".join(rows)
 
 
 def test_omega_column_has_four_decimals():

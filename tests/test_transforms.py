@@ -2,6 +2,8 @@ from itertools import combinations, product
 
 import pytest
 
+from gaplab import transforms
+
 from gaplab import (
     InvalidLabellingError,
     complete_graph,
@@ -43,6 +45,34 @@ def test_next_prime_stays_in_doubling_window():
 
 def test_is_prime_below_two_is_false():
     assert [p for p in range(-7, 12) if is_prime(p)] == [2, 3, 5, 7, 11]
+
+
+def _special_cased_is_prime(p):
+    """The earlier test: 2 and 3 prime, even p composite, then odd divisors."""
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_equals_the_special_cased_test():
+    ps = range(-20, 200_001)
+    assert list(map(is_prime, ps)) == list(map(_special_cased_is_prime, ps))
+
+
+def test_decision_marks_equal_those_of_the_special_cased_test(monkeypatch):
+    sizes = (12, 18, 26, 300, 1000, 1200, 40000)
+    marks = [decision_marks(n) for n in sizes]
+    monkeypatch.setattr(transforms, "is_prime", _special_cased_is_prime)
+    assert marks == [decision_marks(n) for n in sizes]
 
 
 def test_next_prime_rejects_nonpositive():
