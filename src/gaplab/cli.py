@@ -232,7 +232,8 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GapLabError, ValueError, OSError) as exc:
+    # OverflowError: a vertex count past what a tuple can index.
+    except (GapLabError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -2,7 +2,12 @@
 
 Vertices are dense 0-based integers.  A ``Graph`` stores only the sorted
 neighbour tuple of every vertex; its edge set, edge count and adjacency test
-are derived from those tuples.  The text format is:
+are derived from those tuples.  Every graph is built as those rows alone,
+with no set of edge pairs: ``graph_from_edges`` appends each edge to the rows
+of both its ends and finds a duplicate as two equal neighbours next to each
+other in a sorted row, so of several defects it names a self-loop or range
+error (the first in input order) before the least duplicate; ``remove_edges``
+filters only the rows it touches.  The text format is:
 
     n m
     u v        (one line per edge, 0 <= u < v < n)
@@ -39,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque, namedtuple
 from collections.abc import Iterable
-from itertools import repeat
+from itertools import filterfalse, repeat
 from operator import lt
 
 from .errors import MissingEdgeError, ParseError
@@ -81,30 +86,35 @@ class Graph(namedtuple("Graph", "n adjacency")):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _build(n: int, edges: Iterable[Edge]) -> Graph:
-    """Assemble a Graph from distinct, already-normalised (u < v) edges."""
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return Graph(n, tuple(tuple(sorted(a)) for a in nbrs))
-
-
 def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
-    """Validating constructor: rejects self-loops, range errors and duplicates."""
+    """Validating constructor: rejects self-loops, range errors and duplicates.
+
+    Each edge, in either orientation, is appended to the rows of both its
+    ends, and each row is sorted once; no set of edges is kept.  A self-loop
+    or an endpoint out of range raises at the first such edge in input
+    order.  A duplicate shows as two equal neighbours next to each other in
+    a sorted row, so it is found only after every edge is in, and the one
+    named is the least duplicate (u, v), u < v: the first in the first row
+    that holds one.  So for an input with several defects, a self-loop or
+    range error anywhere is named before any duplicate.
+    """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    seen: set[Edge] = set()
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
-    return _build(n, seen)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for u, row in enumerate(nbrs):
+        row.sort()
+        if not all(map(lt, row, row[1:])):
+            # A v < u here would have put u twice in the earlier row v.
+            v = next(v for v, w in zip(row, row[1:]) if v == w)
+            raise ValueError(f"duplicate edge {(u, v)}")
+    return Graph(n, tuple(map(tuple, nbrs)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -150,25 +160,23 @@ def cycle_power(n: int, k: int) -> Graph:
 
 
 def remove_edges(g: Graph, removals: Iterable[Edge]) -> Graph:
-    """A new graph with the listed edges absent; the input is untouched."""
-    to_drop: set[Edge] = set()
+    """A new graph with the listed edges absent; the input is untouched.
+
+    Each touched vertex gets one set of the neighbours it drops, and only
+    its row is filtered; every other row is shared with ``g``.
+    """
+    drop: dict[int, set[int]] = {}
     for u, v in removals:
-        e = (u, v) if u < v else (v, u)
-        if not g.has_edge(*e):
-            raise MissingEdgeError(e)
-        if e in to_drop:
-            raise ValueError(f"edge {e} listed twice for removal")
-        to_drop.add(e)
-    touched = {w for e in to_drop for w in e}
-    return Graph(
-        g.n,
-        tuple(
-            tuple(w for w in nbrs if ((u, w) if u < w else (w, u)) not in to_drop)
-            if u in touched
-            else nbrs
-            for u, nbrs in enumerate(g.adjacency)
-        ),
-    )
+        if not g.has_edge(u, v):
+            raise MissingEdgeError((u, v) if u < v else (v, u))
+        if v in drop.get(u, ()):
+            raise ValueError(f"edge {(u, v) if u < v else (v, u)} listed twice for removal")
+        drop.setdefault(u, set()).add(v)
+        drop.setdefault(v, set()).add(u)
+    adjacency = list(g.adjacency)
+    for u, vs in drop.items():
+        adjacency[u] = tuple(filterfalse(vs.__contains__, adjacency[u]))
+    return Graph(g.n, tuple(adjacency))
 
 
 def is_connected(g: Graph) -> bool:
@@ -451,7 +459,7 @@ def _parse_lines(text: str) -> Graph:
         raise ParseError(
             f"header announced {header[1]} edges but {len(edges)} were given", header_line
         )
-    return _build(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def format_edge_rows(header: str, n: int, rows: Iterable[tuple[int, Iterable[int]]]) -> str:

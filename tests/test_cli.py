@@ -107,6 +107,16 @@ def test_out_of_memory_exits_one(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
+def test_vertex_count_past_a_tuple_index_exits_one(capsys):
+    # tuple(range(n)) raises OverflowError at once for these n, before any
+    # allocation; a huge n for cycle-power or label would allocate instead.
+    huge = "99999999999999999999"
+    for family in (["complete"], ["path-power", "--k", "2"]):
+        code, out, err = run(capsys, "gen", "--family", *family, "--n", huge)
+        assert (code, out) == (1, ""), family
+        assert err.startswith("error: ") and "Traceback" not in err, family
+
+
 def test_verify_reports_conflicts_and_fails(tmp_path, capsys):
     graph_file = tmp_path / "k4.graph"
     labels_file = tmp_path / "k4.labels"

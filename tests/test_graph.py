@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from gaplab import graph as graph_module
 from gaplab import (
+    Graph,
     MissingEdgeError,
     ParseError,
     complete_graph,
@@ -103,16 +104,17 @@ def test_cycle_power_matches_its_definition():
 
 
 def _pair_set_cycle_power(n, k):
-    """The earlier builder: C_n^k from its set of normalised pairs, through
-    ``_build``'s append-and-sort."""
-    return graph_module._build(
-        n,
-        {
-            (u, u + d) if u + d < n else (u + d - n, u)
-            for d in range(1, min(k, n // 2) + 1)
-            for u in range(n)
-        },
-    )
+    """The earlier builder: C_n^k from its set of normalised pairs, each
+    appended to the rows of both its ends, and each row then sorted."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in {
+        (u, u + d) if u + d < n else (u + d - n, u)
+        for d in range(1, min(k, n // 2) + 1)
+        for u in range(n)
+    }:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph(n, tuple(tuple(sorted(row)) for row in nbrs))
 
 
 def test_cycle_power_rows_equal_the_pair_set_builder():
@@ -293,6 +295,122 @@ def _seeded_edge_lists(count, seed):
         pool = list(combinations(range(n), 2))
         edges = rng.sample(pool, rng.randint(0, len(pool)))
         yield n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def _set_graph_from_edges(n, edges):
+    """The earlier constructor, which kept every edge as a normalised pair in
+    a set and raised at the first defect in input order: the oracle."""
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    nbrs = [[] for _ in range(n)]
+    for u, v in seen:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph(n, tuple(tuple(sorted(a)) for a in nbrs))
+
+
+def _set_remove_edges(g, removals):
+    """The earlier edge remover, which filtered every touched row against a
+    set of normalised pairs: the oracle."""
+    to_drop = set()
+    for u, v in removals:
+        e = (u, v) if u < v else (v, u)
+        if not g.has_edge(*e):
+            raise MissingEdgeError(e)
+        if e in to_drop:
+            raise ValueError(f"edge {e} listed twice for removal")
+        to_drop.add(e)
+    touched = {w for e in to_drop for w in e}
+    return Graph(
+        g.n,
+        tuple(
+            tuple(w for w in nbrs if ((u, w) if u < w else (w, u)) not in to_drop)
+            if u in touched
+            else nbrs
+            for u, nbrs in enumerate(g.adjacency)
+        ),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _edge_defects(rng, n, edges):
+    """One defective copy of ``edges`` per kind: a self-loop, an endpoint out
+    of range, and a duplicate in each orientation."""
+    bad_end = rng.choice([-1, n, n + 5])
+    inside = rng.randrange(n)
+    kinds = [[(inside, inside)], [rng.choice([(inside, bad_end), (bad_end, inside)])]]
+    if edges:
+        u, v = rng.choice(edges)
+        kinds += [[(u, v)], [(v, u)]]
+    return kinds
+
+
+def _with(rng, items, extra):
+    """``items`` with each of ``extra`` put in at a random place."""
+    items = list(items)
+    for item in extra:
+        items.insert(rng.randint(0, len(items)), item)
+    return items
+
+
+def test_row_constructors_match_the_edge_set_constructors():
+    # Each list is read as given and with every edge turned round.  A list
+    # with one defect gets the same exception and message from both; a list
+    # with several defects the same exception type, since the rows find a
+    # duplicate only after every self-loop and range check.
+    rng = random.Random(39)
+    for n, given_edges in _seeded_edge_lists(300, 39):
+        for edges in (given_edges, [(v, u) for u, v in given_edges]):
+            g = graph_from_edges(n, edges)
+            assert g == _set_graph_from_edges(n, edges)
+            kinds = _edge_defects(rng, n, edges)
+            for kind in kinds:
+                bad = _with(rng, edges, kind)
+                assert _outcome(graph_from_edges, n, bad) == _outcome(_set_graph_from_edges, n, bad)
+            several = _with(rng, edges, [e for kind in rng.sample(kinds, 2) for e in kind])
+            assert _outcome(graph_from_edges, n, several)[0] is ValueError
+            assert _outcome(_set_graph_from_edges, n, several)[0] is ValueError
+            removals = rng.sample(edges, rng.randint(0, len(edges)))
+            assert remove_edges(g, removals) == _set_remove_edges(g, removals)
+            ends = range(-1, n + 1)
+            absent = [(u, v) for u in ends for v in ends if not g.has_edge(u, v)]
+            kinds = [[rng.choice(absent)]]
+            if removals:
+                u, v = rng.choice(removals)
+                kinds.append([rng.choice([(u, v), (v, u)])])
+            for kind in kinds + [[e for kind in kinds for e in kind]]:
+                bad = _with(rng, removals, kind)
+                assert _outcome(remove_edges, g, bad) == _outcome(_set_remove_edges, g, bad)
+
+
+def test_graph_from_edges_peak_memory_stays_within_three_graphs():
+    # The edge set and its normalised pairs peaked at about 7.6 times the
+    # graph; the rows alone peak at about twice it, lists and tuples.
+    edges = list(remove_edges(complete_graph(600), construct_upper(600).removed).edges)
+    tracemalloc.start()
+    try:
+        g = graph_from_edges(600, edges)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == len(edges)
+    assert peak < 3 * retained, peak / retained
 
 
 def test_derived_edges_count_equality_and_hash_match_the_stored_fields():
