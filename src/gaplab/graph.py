@@ -36,7 +36,11 @@ its v's become tokens.  A block of short rows, such as a path power's, is
 read edge by edge, since a row costs more than it saves there.
 Any other text, such as comments, empty lines or CRLF line ends, goes
 through a line-by-line reader that accepts the same graphs and names the
-first bad line.
+first bad line.  It reads the header, then the edges, and keeps each edge
+only as one int key, u * n + v, until it builds the rows from the sorted
+keys; so beside the graph it holds only the text's lines and one key per
+edge.  On K_1000 minus the removals as CRLF text that is a traced peak of
+69.5 MB for a graph of 30 MB.
 """
 
 from __future__ import annotations
@@ -411,30 +415,35 @@ def _read_rows(
 
 
 def _parse_lines(text: str) -> Graph:
-    """Parse line by line, raising ParseError at the first bad line."""
-    lines = text.splitlines()
-    header: tuple[int, int] | None = None
-    header_line = 0
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    n = 0
-    for idx, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    """Parse line by line, raising ParseError at the first bad line.
+
+    Blank lines and "#" comments are skipped.  The first other line is the
+    header; every line after it is an edge, checked in turn.  Each edge
+    (u, v) is kept as one int key ``u * n + v``, and the set of those keys
+    is the only container: it finds a duplicate, and its size is the edge
+    count.  No list of lines or edges is kept, so the lines are freed when
+    the loop ends.  The keys are sorted before the rows are built, since
+    set order scrambles the edges of a sparse text: in key order every row
+    reaches ``graph_from_edges`` already sorted, and its sort of the row is
+    one pass.
+    """
+    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
+    data = ((idx, line) for idx, line in numbered if line and not line.startswith("#"))
+    header_line, header = next(data, (1, None))
+    if header is None:
+        raise ParseError("empty graph text", 1)
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError("expected header 'n m'", header_line)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("header values must be integers", header_line) from None
+    if n < 1 or m < 0:
+        raise ParseError(f"bad header n={n} m={m}", header_line)
+    keys: set[int] = set()
+    for idx, line in data:
         parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError("expected header 'n m'", idx)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("header values must be integers", idx) from None
-            if n < 1 or m < 0:
-                raise ParseError(f"bad header n={n} m={m}", idx)
-            header = (n, m)
-            header_line = idx
-            continue
         if len(parts) != 2:
             raise ParseError("expected edge line 'u v'", idx)
         try:
@@ -449,17 +458,13 @@ def _parse_lines(text: str) -> Graph:
             raise ParseError(f"vertex {v} out of range for n={n}", idx)
         if u < 0:
             raise ParseError(f"vertex {u} out of range", idx)
-        if (u, v) in seen:
+        key = u * n + v
+        if key in keys:
             raise ParseError(f"duplicate edge ({u}, {v})", idx)
-        seen.add((u, v))
-        edges.append((u, v))
-    if header is None:
-        raise ParseError("empty graph text", 1)
-    if len(edges) != header[1]:
-        raise ParseError(
-            f"header announced {header[1]} edges but {len(edges)} were given", header_line
-        )
-    return graph_from_edges(n, edges)
+        keys.add(key)
+    if len(keys) != m:
+        raise ParseError(f"header announced {m} edges but {len(keys)} were given", header_line)
+    return graph_from_edges(n, map(divmod, sorted(keys), repeat(n)))
 
 
 def format_edge_rows(header: str, n: int, rows: Iterable[tuple[int, Iterable[int]]]) -> str:
